@@ -387,8 +387,7 @@ impl Kernel for TransposeHism {
             // The blockarray permutation is index shuffling with no FP
             // arithmetic, so the host leg always runs scalar.
             let t0 = Instant::now();
-            let nnz = host::hism::image_nnz(image).map_err(host_err)?;
-            let out = host::hism::transpose_hism(image, ctx.stm.s).map_err(host_err)?;
+            let (out, nnz) = host::hism::transpose_hism(image, ctx.stm.s).map_err(host_err)?;
             let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
             let report = host_report(
                 ctx,
@@ -413,8 +412,11 @@ impl Kernel for TransposeHism {
         let img = out
             .as_hism()
             .ok_or_else(|| KernelError::Mismatch("transpose_hism produces Hism outputs".into()))?;
-        let got = build::to_coo(&img.decode()?);
-        if got == coo.transpose_canonical() {
+        // `decode` checks the sealed sums and the structure of the
+        // untrusted output; its entries then stream against the input's
+        // rows, which are the canonical transpose's columns.
+        let got = img.decode()?;
+        if build::matches_transpose(&got, coo) {
             Ok(())
         } else {
             Err(KernelError::Mismatch(
@@ -754,8 +756,7 @@ impl Kernel for SpmvHism {
         let image = self.image.as_ref().ok_or(KernelError::NotPrepared)?;
         if let Some(isa) = ctx.backend.resolve() {
             let t0 = Instant::now();
-            let nnz = host::hism::image_nnz(image).map_err(host_err)?;
-            let y = host::hism::spmv_hism(image, &self.x, ctx.vp.section_size, isa)
+            let (y, nnz) = host::hism::spmv_hism(image, &self.x, ctx.vp.section_size, isa)
                 .map_err(host_err)?;
             let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
             let report = host_report(ctx, "host.spmv_hism", isa, shape, t0.elapsed());
@@ -1307,6 +1308,70 @@ impl Kernel for SpmvSell {
 mod tests {
     use super::*;
     use stm_sparse::gen;
+
+    /// Sealed, structurally valid outputs that are not the transpose: the
+    /// HiSM verify must call each a mismatch, and accept the true one.
+    #[test]
+    fn hism_verify_rejects_sealed_wrong_transposes() {
+        let coo = gen::random::uniform(40, 50, 180, 11);
+        let s = ExecCtx::paper().stm.s;
+        let image_of = |m: &Coo| HismImage::encode(&build::from_coo(m, s).unwrap());
+        let verify =
+            |img: HismImage| TransposeHism::default().verify(&coo, &KernelOutput::Hism(img));
+        let t = coo.transpose_canonical();
+        assert!(verify(image_of(&t)).is_ok());
+        let with =
+            |e: Vec<(usize, usize, Value)>| Coo::from_triplets(t.rows(), t.cols(), e).unwrap();
+        let holds = |r: usize, c: usize| t.iter().any(|&(i, j, _)| (i, j) == (r, c));
+        let mut changed = t.entries().to_vec();
+        changed[7].2 *= 2.0;
+        let mut dropped = t.entries().to_vec();
+        dropped.remove(30);
+        // Two entries trade columns, landing on positions t leaves empty.
+        let e = t.entries();
+        let (a, b) = (0..e.len())
+            .flat_map(|a| (a + 1..e.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                e[a].0 != e[b].0
+                    && e[a].1 != e[b].1
+                    && !holds(e[a].0, e[b].1)
+                    && !holds(e[b].0, e[a].1)
+            })
+            .unwrap();
+        let mut swapped = e.to_vec();
+        (swapped[a].1, swapped[b].1) = (e[b].1, e[a].1);
+        let wider = Coo::from_triplets(t.rows(), t.cols() + 1, e.to_vec()).unwrap();
+        for (what, wrong) in [
+            ("changed value", with(changed)),
+            ("dropped entry", with(dropped)),
+            ("swapped columns", with(swapped)),
+            ("wrong shape", wider),
+        ] {
+            assert!(
+                matches!(verify(image_of(&wrong)), Err(KernelError::Mismatch(_))),
+                "{what} passed verify"
+            );
+        }
+        // An extra explicit zero: the old flatten-and-compare verify
+        // dropped it in `canonicalize` and passed the output.
+        let (r, c) = (0..t.rows())
+            .flat_map(|r| (0..t.cols()).map(move |c| (r, c)))
+            .find(|&(r, c)| !holds(r, c))
+            .unwrap();
+        let mut extra = e.to_vec();
+        extra.push((r, c, 1.0));
+        let mut img = image_of(&with(extra));
+        let site = img
+            .value_sites_detailed()
+            .unwrap()
+            .into_iter()
+            .find(|v| (v.row, v.col) == (r as u64, c as u64))
+            .unwrap();
+        img.words[site.addr as usize] = 0f32.to_bits();
+        img.seal_integrity();
+        assert_eq!(build::to_coo(&img.decode().unwrap()), t);
+        assert!(matches!(verify(img), Err(KernelError::Mismatch(_))));
+    }
 
     #[test]
     fn every_registered_name_constructs_and_round_trips() {

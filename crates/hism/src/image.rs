@@ -100,6 +100,20 @@ pub struct SectionSums {
 }
 
 impl SectionSums {
+    /// Folds one leaf entry's words (value bits, position) into the sums.
+    pub fn add_leaf_entry(&mut self, value: u32, pos: u32) {
+        self.values ^= fnv_word(value);
+        self.positions ^= fnv_word(pos);
+    }
+
+    /// Folds one node entry's words (child pointer, position, and its
+    /// lengths-vector word) into the sums.
+    pub fn add_node_entry(&mut self, pointer: u32, pos: u32, len: u32) {
+        self.pointers ^= fnv_word(pointer);
+        self.positions ^= fnv_word(pos);
+        self.lengths ^= fnv_word(len);
+    }
+
     /// The first section that disagrees with `other`, as a typed error
     /// (`self` is the header, `other` the recomputed sums).
     fn diff(&self, other: &SectionSums) -> Option<ImageError> {
@@ -214,26 +228,37 @@ pub struct HismImage {
 
 impl HismImage {
     /// Serializes a HiSM matrix (blocks are already in post-order in the
-    /// arena, so arena order is the layout order).
+    /// arena, so arena order is the layout order) and seals it, summing
+    /// each word as it is written.
     pub fn encode(h: &HismMatrix) -> HismImage {
-        let mut words: Vec<u32> = Vec::new();
-        let mut pointer_sites: Vec<u32> = Vec::new();
+        let (mut leaf_entries, mut node_entries) = (0, 0);
+        for b in h.blocks() {
+            match &b.data {
+                BlockData::Leaf(v) => leaf_entries += v.len(),
+                BlockData::Node(v) => node_entries += v.len(),
+            }
+        }
+        let mut words: Vec<u32> = Vec::with_capacity(2 * leaf_entries + 3 * node_entries);
+        let mut pointer_sites: Vec<u32> = Vec::with_capacity(node_entries);
         let mut addr_of: Vec<u32> = vec![u32::MAX; h.blocks().len()];
+        let mut sums = SectionSums::default();
         for (i, b) in h.blocks().iter().enumerate() {
             let addr = words.len() as u32;
             addr_of[i] = addr;
             match &b.data {
                 BlockData::Leaf(entries) => {
                     for e in entries {
-                        words.push(e.value.to_bits());
-                        words.push(pack_pos(e.row, e.col));
+                        let (value, pos) = (e.value.to_bits(), pack_pos(e.row, e.col));
+                        words.extend([value, pos]);
+                        sums.add_leaf_entry(value, pos);
                     }
                 }
                 BlockData::Node(entries) => {
                     for e in entries {
+                        let (ptr, pos) = (addr_of[e.child], pack_pos(e.row, e.col));
                         pointer_sites.push(words.len() as u32);
-                        words.push(addr_of[e.child]);
-                        words.push(pack_pos(e.row, e.col));
+                        words.extend([ptr, pos]);
+                        sums.add_node_entry(ptr, pos, h.blocks()[e.child].len() as u32);
                     }
                     for e in entries {
                         words.push(h.blocks()[e.child].len() as u32);
@@ -249,13 +274,18 @@ impl HismImage {
             cols: h.cols() as u32,
             s: h.section_size() as u32,
         };
-        let mut img = HismImage {
+        let img = HismImage {
             words,
             root,
             pointer_sites,
-            integrity: None,
+            integrity: Some(IntegrityHeader {
+                version: INTEGRITY_VERSION,
+                sums,
+            }),
         };
-        img.seal_integrity();
+        // Every block of a matrix is reachable from its root exactly once,
+        // so the layout-order sums equal the walk's.
+        debug_assert_eq!(img.integrity, img.compute_integrity().ok());
         img
     }
 
@@ -360,8 +390,7 @@ impl HismImage {
             for k in 0..len as usize {
                 let v = self.word(base + 2 * k)?;
                 let p = self.word(base + 2 * k + 1)?;
-                out.sums.values ^= fnv_word(v);
-                out.sums.positions ^= fnv_word(p);
+                out.sums.add_leaf_entry(v, p);
                 if out.collect_values {
                     let (r, c) = unpack_pos(p);
                     out.value_sites.push(ValueSite {
@@ -378,9 +407,7 @@ impl HismImage {
                 let child_addr = self.word(base + 2 * k)?;
                 let p = self.word(base + 2 * k + 1)?;
                 let child_len = self.word(lens_base + k)?;
-                out.sums.pointers ^= fnv_word(child_addr);
-                out.sums.positions ^= fnv_word(p);
-                out.sums.lengths ^= fnv_word(child_len);
+                out.sums.add_node_entry(child_addr, p, child_len);
                 let (r, c) = unpack_pos(p);
                 let child_off = (
                     off.0.saturating_add((r as u64).saturating_mul(scale)),

@@ -6,130 +6,125 @@
 //! the same defenses: an entry budget of `words/2 + 1` against runaway
 //! length words, an address-space check against retargeted pointers,
 //! and bounds checks standing in for the simulator's guarded memory.
-//! Every defect is a typed [`HostError`], never a panic.
+//! Every defect is a typed [`HostError`], never a panic. The guarded walk
+//! is the kernel's own traversal, so each call validates the image once
+//! and returns its nnz (the leaf entries it visited).
 //!
 //! The transposition is in place: each blockarray's `[payload, pos]`
 //! pairs are re-sorted row-major by their *swapped* coordinates — the
 //! order the s×s STM memory drains in — with the lengths vector of
 //! non-leaf blockarrays permuted identically, then children are visited
-//! through the rewritten pointer words. The SpMV accumulates leaf
+//! through the rewritten pointer words. The output's integrity seal is
+//! summed as the words are written. The SpMV accumulates leaf
 //! products into `y` strictly in hierarchy-walk order, left to right
 //! within each strip, exactly like the simulator's sequential
 //! scatter-accumulate; only the element-wise gather-multiply is
 //! SIMD-dispatched.
 
 use crate::{HostError, HostIsa};
-use stm_hism::image::{pack_pos, unpack_pos, HismImage, RootDesc, WORDS_PER_ENTRY};
+use stm_hism::image::{
+    pack_pos, unpack_pos, HismImage, IntegrityHeader, RootDesc, SectionSums, INTEGRITY_VERSION,
+    WORDS_PER_ENTRY,
+};
 use stm_sparse::Value;
 
 const WPE: usize = WORDS_PER_ENTRY as usize;
 
-/// Leaf entries of an image = the matrix nnz. A budgeted, bounds-checked
-/// walk mirroring the simulator's `image_nnz` validation: corrupt
-/// hierarchies yield typed errors instead of panics or unbounded
-/// recursion. Both kernels run it up front so structural faults surface
-/// before any arithmetic.
-pub fn image_nnz(image: &HismImage) -> Result<usize, HostError> {
-    fn word(image: &HismImage, addr: usize) -> Result<u32, HostError> {
-        image.words.get(addr).copied().ok_or_else(|| {
-            HostError::Corrupt(format!(
-                "image access at word {addr} outside the {}-word image",
-                image.words.len()
-            ))
-        })
+/// The root blockarray's level (`levels - 1`); a zero-level image has no
+/// root to walk.
+fn root_level(root: &RootDesc) -> Result<u32, HostError> {
+    root.levels
+        .checked_sub(1)
+        .ok_or_else(|| HostError::Corrupt("image with zero levels".into()))
+}
+
+/// The guarded walk's state, shared by both kernels: the entry budget
+/// (a valid image never holds more than `words/2` entries, so cyclic or
+/// runaway length words exhaust it) and the leaf entries visited so far.
+struct Guard {
+    budget: usize,
+    nnz: usize,
+}
+
+impl Guard {
+    fn new(image: &HismImage) -> Guard {
+        Guard {
+            budget: image.words.len() / 2 + 1,
+            nnz: 0,
+        }
     }
-    fn walk(
-        image: &HismImage,
+
+    /// Admits one blockarray, with the guards in the simulator's order:
+    /// entry budget first (a corrupt length can claim billions of
+    /// entries), then the u32 address-space check, then the image
+    /// footprint itself.
+    fn enter(
+        &mut self,
+        words_len: usize,
         addr: u32,
         len: usize,
         level: u32,
-        budget: &mut usize,
-    ) -> Result<usize, HostError> {
-        if *budget < len {
+    ) -> Result<(), HostError> {
+        if self.budget < len {
             return Err(HostError::Corrupt(format!(
                 "runaway blockarray of {len} entries at word {addr}"
             )));
         }
-        *budget -= len;
+        self.budget -= len;
+        if addr as u64 + (WPE as u64 + 1) * len as u64 > u32::MAX as u64 {
+            return Err(HostError::Corrupt(format!(
+                "blockarray at word {addr} ({len} entries) exceeds the address space"
+            )));
+        }
+        let footprint = if level > 0 {
+            (WPE + 1) * len
+        } else {
+            WPE * len
+        };
+        if addr as usize + footprint > words_len {
+            return Err(HostError::Corrupt(format!(
+                "blockarray at word {addr} ({len} entries) outside the {words_len}-word image"
+            )));
+        }
         if level == 0 {
-            return Ok(len);
+            self.nnz += len;
         }
-        let mut total = 0;
-        for k in 0..len {
-            let ptr = word(image, addr as usize + WPE * k)?;
-            let clen = word(image, addr as usize + WPE * len + k)?;
-            total += walk(image, ptr, clen as usize, level - 1, budget)?;
-        }
-        Ok(total)
+        Ok(())
     }
-    if image.root.levels == 0 {
-        return Err(HostError::Corrupt("image with zero levels".into()));
-    }
-    let mut budget = image.words.len() / 2 + 1;
-    walk(
-        image,
-        image.root.addr,
-        image.root.len as usize,
-        image.root.levels - 1,
-        &mut budget,
-    )
 }
 
-/// Guards shared by both walks, in the simulator's order: entry budget
-/// first (a corrupt length can claim billions of entries), then the
-/// u32 address-space check, then the image footprint itself.
-fn check_block(
-    words_len: usize,
-    addr: u32,
-    len: usize,
-    footprint_words: usize,
-    budget: &mut usize,
-) -> Result<(), HostError> {
-    if *budget < len {
-        return Err(HostError::Corrupt(format!(
-            "runaway blockarray of {len} entries at word {addr}"
-        )));
-    }
-    *budget -= len;
-    if addr as u64 + (WPE as u64 + 1) * len as u64 > u32::MAX as u64 {
-        return Err(HostError::Corrupt(format!(
-            "blockarray at word {addr} ({len} entries) exceeds the address space"
-        )));
-    }
-    if addr as usize + footprint_words > words_len {
-        return Err(HostError::Corrupt(format!(
-            "blockarray at word {addr} ({len} entries) outside the {words_len}-word image"
-        )));
-    }
-    Ok(())
-}
-
-/// Host HiSM transposition. Scalar on every ISA: the per-blockarray
-/// permutation is a sort plus a cursor rewrite, with nothing element-wise
-/// to vectorize. `section_size` must match the image's `s` (the same
-/// configuration contract the simulated kernel enforces).
-pub fn transpose_hism(image: &HismImage, section_size: usize) -> Result<HismImage, HostError> {
+/// Host HiSM transposition, returning the sealed transposed image and
+/// the matrix nnz. Scalar on every ISA: the per-blockarray permutation is
+/// a sort plus a cursor rewrite, with nothing element-wise to vectorize.
+/// `section_size` must match the image's `s` (the same configuration
+/// contract the simulated kernel enforces).
+pub fn transpose_hism(
+    image: &HismImage,
+    section_size: usize,
+) -> Result<(HismImage, usize), HostError> {
     if image.root.s as usize != section_size {
         return Err(HostError::Config(format!(
             "image section size {} != configured section size {section_size}",
             image.root.s
         )));
     }
-    image_nnz(image)?;
+    let level = root_level(&image.root)?;
     let s = image.root.s as usize;
     let mut words = image.words.clone();
-    let mut budget = words.len() / 2 + 1;
+    let mut guard = Guard::new(image);
+    // Transposition rewrites position words, so the input's sums no
+    // longer apply: the output's are folded in as each word is written.
+    // The sums XOR per-word hashes, so the write order does not matter.
+    let mut sums = SectionSums::default();
     transpose_block(
         &mut words,
         image.root.addr,
         image.root.len as usize,
-        image.root.levels - 1,
+        level,
         s,
-        &mut budget,
+        &mut guard,
+        &mut sums,
     )?;
-    if crate::diverge_requested("transpose_hism") {
-        diverge(&mut words, &image.root);
-    }
     let mut out = HismImage {
         words,
         root: RootDesc {
@@ -138,12 +133,16 @@ pub fn transpose_hism(image: &HismImage, section_size: usize) -> Result<HismImag
             ..image.root
         },
         pointer_sites: image.pointer_sites.clone(),
-        integrity: None,
+        integrity: Some(IntegrityHeader {
+            version: INTEGRITY_VERSION,
+            sums,
+        }),
     };
-    // Transposition rewrites position words, so the input's sums no
-    // longer apply: seal the output fresh over the transposed words.
-    out.seal_integrity();
-    Ok(out)
+    if crate::diverge_requested("transpose_hism") {
+        diverge(&mut out.words, &out.root);
+        out.seal_integrity();
+    }
+    Ok((out, guard.nnz))
 }
 
 /// One blockarray of the in-place transposition (Fig. 6's
@@ -154,17 +153,13 @@ fn transpose_block(
     len: usize,
     level: u32,
     s: usize,
-    budget: &mut usize,
+    guard: &mut Guard,
+    sums: &mut SectionSums,
 ) -> Result<(), HostError> {
     if len == 0 {
         return Ok(());
     }
-    let footprint = if level > 0 {
-        (WPE + 1) * len
-    } else {
-        WPE * len
-    };
-    check_block(words.len(), addr, len, footprint, budget)?;
+    guard.enter(words.len(), addr, len, level)?;
     let base = addr as usize;
 
     // The STM memory keyed by position: entries re-emerge sorted
@@ -193,19 +188,27 @@ fn transpose_block(
         )));
     }
 
+    // Payloads and (at levels ≥ 1) the lengths vector move by the same
+    // drain order; both are copied out first, as the writes overwrite
+    // their sources.
     let entries: Vec<u32> = words[base..base + WPE * len].to_vec();
-    if level > 0 {
-        // Lengths pass first (it needs the pre-transposition positions),
-        // permuted by the same drain order as the entries.
-        let lens: Vec<u32> = words[base + WPE * len..base + WPE * len + len].to_vec();
-        for (j, &key) in order.iter().enumerate() {
-            words[base + WPE * len + j] = lens[(key & 0xffff_ffff) as usize];
-        }
-    }
+    let lens: Vec<u32> = if level > 0 {
+        words[base + WPE * len..base + WPE * len + len].to_vec()
+    } else {
+        Vec::new()
+    };
     for (j, &key) in order.iter().enumerate() {
-        let (nr, nc) = ((key >> 40) as u8, ((key >> 32) & 0xff) as u8);
-        words[base + WPE * j] = entries[WPE * ((key & 0xffff_ffff) as usize)];
-        words[base + WPE * j + 1] = pack_pos(nr, nc);
+        let k = (key & 0xffff_ffff) as usize;
+        let payload = entries[WPE * k];
+        let pos = pack_pos((key >> 40) as u8, ((key >> 32) & 0xff) as u8);
+        words[base + WPE * j] = payload;
+        words[base + WPE * j + 1] = pos;
+        if level > 0 {
+            words[base + WPE * len + j] = lens[k];
+            sums.add_node_entry(payload, pos, lens[k]);
+        } else {
+            sums.add_leaf_entry(payload, pos);
+        }
     }
 
     if level > 0 {
@@ -213,7 +216,7 @@ fn transpose_block(
         for k in 0..len {
             let ptr = words[base + WPE * k];
             let clen = words[base + WPE * len + k] as usize;
-            transpose_block(words, ptr, clen, level - 1, s, budget)?;
+            transpose_block(words, ptr, clen, level - 1, s, guard, sums)?;
         }
     }
     Ok(())
@@ -245,16 +248,17 @@ fn diverge(words: &mut [u32], root: &RootDesc) {
 }
 
 /// Host `y = A * x` over a HiSM image, bit-identical to the simulated
-/// `spmv_hism`: leaf products accumulate into `y` sequentially in
-/// hierarchy-walk order (the simulated scatter-accumulate resolves row
-/// collisions left to right), and `y` has the simulator's padded length
-/// `rows.max(1)`. Only the per-strip gather-multiply dispatches to SIMD.
+/// `spmv_hism`, returning `y` and the matrix nnz: leaf products
+/// accumulate into `y` sequentially in hierarchy-walk order (the
+/// simulated scatter-accumulate resolves row collisions left to right),
+/// and `y` has the simulator's padded length `rows.max(1)`. Only the
+/// per-strip gather-multiply dispatches to SIMD.
 pub fn spmv_hism(
     image: &HismImage,
     x: &[Value],
     section_size: usize,
     isa: HostIsa,
-) -> Result<Vec<Value>, HostError> {
+) -> Result<(Vec<Value>, usize), HostError> {
     if x.len() != image.root.cols as usize {
         return Err(HostError::Config(format!(
             "x length {} != matrix columns {}",
@@ -268,10 +272,10 @@ pub fn spmv_hism(
             "configured section size {section_size} != image section size {s}"
         )));
     }
-    image_nnz(image)?;
+    let level = root_level(&image.root)?;
     let padded = (image.root.rows as usize).max(1);
     let mut y = vec![0.0f32; padded];
-    let mut budget = image.words.len() / 2 + 1;
+    let mut guard = Guard::new(image);
     let mut scratch = Scratch {
         vals: vec![0.0; s],
         idx: vec![0; s],
@@ -282,21 +286,21 @@ pub fn spmv_hism(
         &image.words,
         image.root.addr,
         image.root.len as usize,
-        image.root.levels - 1,
+        level,
         (0, 0),
         x,
         &mut y,
         s,
         isa,
         &mut scratch,
-        &mut budget,
+        &mut guard,
     )?;
     if isa == HostIsa::Scalar && crate::diverge_requested("spmv_hism") {
         if let Some(v) = y.first_mut() {
             *v = f32::from_bits(v.to_bits() ^ 0x8000_0000);
         }
     }
-    Ok(y)
+    Ok((y, guard.nnz))
 }
 
 /// Per-strip staging buffers (one `s`-sized set per run, reused).
@@ -319,17 +323,12 @@ fn walk(
     s: usize,
     isa: HostIsa,
     scratch: &mut Scratch,
-    budget: &mut usize,
+    guard: &mut Guard,
 ) -> Result<(), HostError> {
     if len == 0 {
         return Ok(());
     }
-    let footprint = if level > 0 {
-        (WPE + 1) * len
-    } else {
-        WPE * len
-    };
-    check_block(words.len(), addr, len, footprint, budget)?;
+    guard.enter(words.len(), addr, len, level)?;
     let base = addr as usize;
     if level == 0 {
         let mut off = 0usize;
@@ -391,7 +390,7 @@ fn walk(
             s,
             isa,
             scratch,
-            budget,
+            guard,
         )?;
     }
     Ok(())
@@ -417,7 +416,8 @@ mod tests {
             (Coo::new(8, 8), 8),
         ] {
             let img = image_of(&coo, s);
-            let out = transpose_hism(&img, s).unwrap();
+            let (out, nnz) = transpose_hism(&img, s).unwrap();
+            assert_eq!(nnz, coo.nnz());
             let expected = HismImage::encode(&href::transpose(&build::from_coo(&coo, s).unwrap()));
             assert_eq!(out.words, expected.words);
             assert_eq!(out.root, expected.root);
@@ -433,8 +433,8 @@ mod tests {
         ] {
             let img = image_of(&coo, s);
             let x: Vec<f32> = (0..coo.cols()).map(|i| ((i % 7) as f32) - 3.0).collect();
-            let scalar = spmv_hism(&img, &x, s, HostIsa::Scalar).unwrap();
-            let best = spmv_hism(&img, &x, s, crate::detect_isa()).unwrap();
+            let (scalar, _) = spmv_hism(&img, &x, s, HostIsa::Scalar).unwrap();
+            let (best, _) = spmv_hism(&img, &x, s, crate::detect_isa()).unwrap();
             for (a, b) in scalar.iter().zip(&best) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -490,15 +490,50 @@ mod tests {
     fn double_transposition_restores_the_image() {
         let coo = gen::rmat::rmat(6, 150, gen::rmat::RmatProbs::default(), 3);
         let img = image_of(&coo, 8);
-        let once = transpose_hism(&img, 8).unwrap();
-        let twice = transpose_hism(&once, 8).unwrap();
+        let (once, _) = transpose_hism(&img, 8).unwrap();
+        let (twice, _) = transpose_hism(&once, 8).unwrap();
         assert_eq!(twice.words, img.words);
         assert_eq!(twice.root, img.root);
     }
 
     #[test]
     fn nnz_walk_agrees_with_the_matrix() {
-        let coo = gen::random::uniform(90, 60, 500, 7);
-        assert_eq!(image_nnz(&image_of(&coo, 8)).unwrap(), coo.nnz());
+        for coo in [gen::random::uniform(90, 60, 500, 7), Coo::new(9, 9)] {
+            let img = image_of(&coo, 8);
+            assert_eq!(transpose_hism(&img, 8).unwrap().1, coo.nnz());
+            let x = vec![1.0; coo.cols()];
+            assert_eq!(
+                spmv_hism(&img, &x, 8, HostIsa::Scalar).unwrap().1,
+                coo.nnz()
+            );
+        }
+    }
+
+    #[test]
+    fn the_folded_seal_equals_a_fresh_one_on_the_quick_catalogue() {
+        for spec in stm_dsab::quick_catalogue() {
+            let coo = spec.build();
+            for s in [4, 64] {
+                let (out, _) = transpose_hism(&image_of(&coo, s), s).unwrap();
+                let fresh = out.compute_integrity().unwrap();
+                assert_eq!(out.integrity, Some(fresh), "{} at s={s}", spec.name);
+                out.decode().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_value_bit_in_the_output_fails_its_seal() {
+        let coo = gen::blocks::block_dense(64, 8, 5, 0.6, 31);
+        let (mut out, _) = transpose_hism(&image_of(&coo, 8), 8).unwrap();
+        let site = out.value_sites().unwrap()[7] as usize;
+        out.words[site] ^= 1 << 3;
+        assert!(matches!(
+            out.decode(),
+            Err(stm_hism::ImageError::Integrity {
+                section: "values",
+                ..
+            })
+        ));
     }
 }

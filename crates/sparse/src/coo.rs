@@ -1,9 +1,10 @@
 //! Coordinate (triplet) storage — the interchange format of this workspace.
 //!
 //! Every other format converts through [`Coo`]; the transposition oracles in
-//! the test suites are all phrased as "sort the transposed triplets".
+//! the test suites are all phrased as "the canonical transposed triplets".
 
 use crate::{FormatError, Value};
+use std::borrow::Cow;
 
 /// A single non-zero entry: `(row, col, value)`.
 pub type Triplet = (usize, usize, Value);
@@ -125,10 +126,27 @@ impl Coo {
     /// Returns `true` if the triplet list is canonical (strictly increasing
     /// row-major coordinates, no explicit zeros).
     pub fn is_canonical(&self) -> bool {
-        self.entries
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
-            && self.entries.iter().all(|&(_, _, v)| v != 0.0)
+        // One pass: this check gates every canonical-input fast path.
+        self.entries.first().is_none_or(|e| e.2 != 0.0)
+            && self.entries.windows(2).all(|w| {
+                let ((r0, c0, _), (r1, c1, v1)) = (w[0], w[1]);
+                (r0 < r1 || (r0 == r1 && c0 < c1)) && v1 != 0.0
+            })
+    }
+
+    /// The canonical form of this matrix: borrowed when the list already
+    /// is canonical (one linear check), otherwise a canonicalized clone.
+    /// The builders of the other formats and the transpose oracle take
+    /// their input through here, so a canonical input is never copied or
+    /// re-sorted.
+    pub fn canonical(&self) -> Cow<'_, Coo> {
+        if self.is_canonical() {
+            Cow::Borrowed(self)
+        } else {
+            let mut c = self.clone();
+            c.canonicalize();
+            Cow::Owned(c)
+        }
     }
 
     /// Returns the transpose: an `cols x rows` matrix with every entry's
@@ -141,12 +159,32 @@ impl Coo {
         }
     }
 
-    /// Canonical transpose: transposed, sorted row-major, duplicates summed.
-    /// This is the oracle used throughout the test suites.
+    /// Canonical transpose: transposed, sorted row-major, duplicates summed
+    /// — equal to `transpose()` followed by `canonicalize()`. This is the
+    /// oracle used throughout the test suites.
+    ///
+    /// A counting sort by column over the canonical input, linear in nnz
+    /// plus `cols`: the row-major input hands every column its entries in
+    /// increasing row order, so the stable scatter is already canonical.
     pub fn transpose_canonical(&self) -> Coo {
-        let mut t = self.transpose();
-        t.canonicalize();
-        t
+        let canon = self.canonical();
+        let mut start = vec![0usize; self.cols + 1];
+        for &(_, c, _) in canon.iter() {
+            start[c + 1] += 1;
+        }
+        for c in 0..self.cols {
+            start[c + 1] += start[c];
+        }
+        let mut entries: Vec<Triplet> = vec![(0, 0, 0.0); canon.nnz()];
+        for &(r, c, v) in canon.iter() {
+            entries[start[c]] = (c, r, v);
+            start[c] += 1;
+        }
+        Coo {
+            rows: self.cols,
+            cols: self.rows,
+            entries,
+        }
     }
 
     /// Checks every entry is in bounds and, optionally, that the list is
@@ -207,15 +245,11 @@ impl crate::SparseFormat for Coo {
     }
 
     fn from_coo(coo: &Coo) -> Result<Self, FormatError> {
-        let mut c = coo.clone();
-        c.canonicalize();
-        Ok(c)
+        Ok(coo.canonical().into_owned())
     }
 
     fn to_coo(&self) -> Coo {
-        let mut c = self.clone();
-        c.canonicalize();
-        c
+        self.canonical().into_owned()
     }
 
     fn transpose(&self) -> Result<Self, FormatError> {
@@ -320,6 +354,54 @@ mod tests {
     #[test]
     fn spmv_rejects_wrong_length() {
         assert!(sample().spmv(&[1.0]).is_err());
+    }
+
+    /// The reference the counting sort replaced.
+    fn sorted_transpose(m: &Coo) -> Coo {
+        let mut t = m.transpose();
+        t.canonicalize();
+        t
+    }
+
+    #[test]
+    fn counting_transpose_equals_the_sorted_transpose() {
+        let canonical = {
+            let mut m = sample();
+            m.canonicalize();
+            m
+        };
+        // Unsorted, with duplicates (summed in insertion order), explicit
+        // zeros, a pair that cancels, and an empty last row and column.
+        let messy = Coo::from_triplets(
+            5,
+            6,
+            vec![
+                (3, 1, 1.5),
+                (0, 4, 2.0),
+                (3, 1, -0.25),
+                (2, 2, 0.0),
+                (1, 0, 4.0),
+                (0, 4, 1.0),
+                (2, 3, 7.0),
+                (2, 3, -7.0),
+                (0, 0, -3.0),
+            ],
+        )
+        .unwrap();
+        for m in [canonical, messy, sample(), Coo::new(3, 0), Coo::new(0, 2)] {
+            let t = m.transpose_canonical();
+            assert_eq!(t, sorted_transpose(&m));
+            assert!(t.is_canonical());
+        }
+    }
+
+    #[test]
+    fn canonical_borrows_only_canonical_lists() {
+        let mut m = sample();
+        assert!(matches!(m.canonical(), Cow::Owned(_)));
+        m.canonicalize();
+        assert!(matches!(m.canonical(), Cow::Borrowed(_)));
+        assert_eq!(*sample().canonical(), m);
     }
 
     #[test]

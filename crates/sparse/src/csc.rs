@@ -19,14 +19,14 @@ pub struct Csc {
 impl Csc {
     /// Builds a CSC matrix from a COO matrix (canonicalizing first). The
     /// arrays come from the same [`crate::format::compress_sorted`]
-    /// helper as CSR's, with outer = column and inner = row.
+    /// helper as CSR's, with outer = column and inner = row, over the
+    /// canonical transpose (which lists the entries column-major).
     pub fn from_coo(coo: &Coo) -> Self {
-        let mut c = coo.clone();
-        c.canonicalize();
-        c.sort_col_major();
-        let (rows, cols) = c.shape();
-        let (col_ptr, row_idx, values) =
-            crate::format::compress_sorted(cols, c.iter().map(|&(i, j, v)| (j, i, v)));
+        let (rows, cols) = coo.shape();
+        let (col_ptr, row_idx, values) = crate::format::compress_sorted(
+            cols,
+            coo.transpose_canonical().into_entries().into_iter(),
+        );
         Csc {
             rows,
             cols,

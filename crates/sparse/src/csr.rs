@@ -70,11 +70,11 @@ impl Csr {
 
     /// Builds a CSR matrix from a COO matrix. Duplicates are summed and the
     /// columns within each row are sorted (i.e. the input is canonicalized
-    /// first). The pointer/index/value arrays are produced by the shared
-    /// [`crate::format::compress_sorted`] helper (outer = row).
+    /// first, unless it already is canonical). The pointer/index/value
+    /// arrays are produced by the shared [`crate::format::compress_sorted`]
+    /// helper (outer = row).
     pub fn from_coo(coo: &Coo) -> Self {
-        let mut c = coo.clone();
-        c.canonicalize();
+        let c = coo.canonical();
         let (rows, cols) = c.shape();
         let (row_ptr, col_idx, values) = crate::format::compress_sorted(rows, c.iter().copied());
         Csr {
