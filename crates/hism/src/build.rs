@@ -1,6 +1,7 @@
 //! Building HiSM matrices from COO and flattening them back.
 
 use crate::matrix::{BlockData, HismBlock, HismMatrix, LeafEntry, NodeEntry};
+use std::ops::Range;
 use stm_sparse::coo::Triplet;
 use stm_sparse::{Coo, FormatError, Value};
 
@@ -52,20 +53,10 @@ pub fn from_coo(coo: &Coo, s: usize) -> Result<HismMatrix, FormatError> {
     canon.validate(false)?;
     let (rows, cols) = canon.shape();
     let levels = levels_for(rows, cols, s);
-    let (blocks, root) = if s.is_power_of_two() {
-        hierarchy(
-            canon.entries(),
-            levels,
-            Pow2 {
-                shift: s.trailing_zeros(),
-            },
-        )
-    } else {
-        let steps: Vec<usize> = std::iter::successors(Some(1usize), |p| Some(p.saturating_mul(s)))
-            .take(levels + 1)
-            .collect();
-        hierarchy(canon.entries(), levels, Div { s, steps: &steps })
-    };
+    let steps: Vec<usize> = std::iter::successors(Some(1usize), |p| Some(p.saturating_mul(s)))
+        .take(levels + 1)
+        .collect();
+    let (blocks, root) = hierarchy(canon.entries(), levels, Radix { s, steps: &steps });
     let m = HismMatrix {
         s,
         rows,
@@ -81,12 +72,10 @@ pub fn from_coo(coo: &Coo, s: usize) -> Result<HismMatrix, FormatError> {
 
 /// The arena (post-order) and root index of the hierarchy over
 /// canonical, in-bounds entries.
-fn hierarchy(entries: &[Triplet], levels: usize, radix: impl Radix) -> (Vec<HismBlock>, usize) {
+fn hierarchy(entries: &[Triplet], levels: usize, radix: Radix) -> (Vec<HismBlock>, usize) {
     if levels == 1 {
         // One leaf holds the whole matrix, already in row-major order.
-        let leaf = entries
-            .iter()
-            .map(|&(r, c, value)| leaf_entry(radix, r, c, value));
+        let leaf = entries.iter().map(|&e| leaf_entry((0, 0), e));
         let root = HismBlock {
             level: 0,
             data: BlockData::Leaf(leaf.collect()),
@@ -96,77 +85,53 @@ fn hierarchy(entries: &[Triplet], levels: usize, radix: impl Radix) -> (Vec<Hism
     // A top-level row band is contiguous in both row-major and block-major
     // order, so each band is ordered on its own and the scratch stays
     // cache-resident.
-    let top = levels - 1;
     let mut builder = Builder::new(radix, levels);
-    for band in entries.chunk_by(|a, b| radix.band(a.0, top) == radix.band(b.0, top)) {
+    let mut rest = entries;
+    while let Some(&(r, _, _)) = rest.first() {
+        let rows = radix.cell(r, levels - 1);
+        let (band, tail) = rest.split_at(rest.partition_point(|e| e.0 < rows.end));
         builder.add_band(band);
+        rest = tail;
     }
     builder.emit.finish()
 }
 
 /// Base-`s` digit arithmetic of the paper's coordinate decomposition
-/// `i = i_0 + i_1 s + … + i_(q-1) s^(q-1)`. The builder is monomorphized
-/// over it: shifts and masks when `s` is a power of two (every section
-/// size the paper evaluates), divisions otherwise.
-trait Radix: Copy {
+/// `i = i_0 + i_1 s + … + i_(q-1) s^(q-1)`. Divisions by a run-time `s`
+/// are slow, so the per-entry loops divide at most once per level and
+/// test cell membership by range instead (see [`Builder`]).
+#[derive(Clone, Copy)]
+struct Radix<'a> {
     /// The section size `s`.
-    fn s(self) -> usize;
-
-    /// `x / s^level`: the index of the level-`level` cell `x` falls in.
-    fn band(self, x: usize, level: usize) -> usize;
-
-    /// The level-`level` digit of `x`: its position inside the block of
-    /// that level.
-    fn digit(self, x: usize, level: usize) -> u8;
-}
-
-/// Digits of a power-of-two section size.
-#[derive(Clone, Copy)]
-struct Pow2 {
-    /// `log2 s`.
-    shift: u32,
-}
-
-impl Radix for Pow2 {
-    fn s(self) -> usize {
-        1 << self.shift
-    }
-
-    fn band(self, x: usize, level: usize) -> usize {
-        x.checked_shr(self.shift * level as u32).unwrap_or(0)
-    }
-
-    fn digit(self, x: usize, level: usize) -> u8 {
-        (self.band(x, level) & (self.s() - 1)) as u8
-    }
-}
-
-/// Digits of any other section size.
-#[derive(Clone, Copy)]
-struct Div<'a> {
     s: usize,
     /// `s^level` for `level` in `0 ..= levels` (saturating).
     steps: &'a [usize],
 }
 
-impl Radix for Div<'_> {
-    fn s(self) -> usize {
-        self.s
-    }
-
+impl Radix<'_> {
+    /// `x / s^level`: the index of the level-`level` cell `x` falls in.
     fn band(self, x: usize, level: usize) -> usize {
         x / self.steps[level]
     }
 
+    /// The level-`level` digit of `x`: its position inside the block of
+    /// that level.
     fn digit(self, x: usize, level: usize) -> u8 {
         (self.band(x, level) % self.s) as u8
     }
+
+    /// The coordinates the level-`level` cell holding `x` spans.
+    fn cell(self, x: usize, level: usize) -> Range<usize> {
+        let start = x - x % self.steps[level];
+        start..start.saturating_add(self.steps[level])
+    }
 }
 
-fn leaf_entry(radix: impl Radix, r: usize, c: usize, value: Value) -> LeafEntry {
+/// The leaf entry of `(r, c, value)` in the leaf at `origin`.
+fn leaf_entry(origin: (usize, usize), (r, c, value): Triplet) -> LeafEntry {
     LeafEntry {
-        row: radix.digit(r, 0),
-        col: radix.digit(c, 0),
+        row: (r - origin.0) as u8,
+        col: (c - origin.1) as u8,
         value,
     }
 }
@@ -188,11 +153,12 @@ const SHORT_RUN: usize = 32;
 /// `(…, r_ℓ, c_ℓ, r_(ℓ-1)…r_0, c_(ℓ-1)…c_0)`. The last pass, at level 1,
 /// cuts each run's buckets straight into leaves, which the stack pass
 /// ([`Emitter`]) files under their parents. Every pass reads each entry
-/// once and is linear in its run lengths: short runs are insertion-sorted,
-/// long ones counting-sorted over `s` buckets. The buffers are reused
-/// from band to band.
-struct Builder<R> {
-    radix: R,
+/// once, tests it against its run's cells by range and divides once for
+/// its digit; it is linear in its run lengths: short runs are
+/// insertion-sorted, long ones counting-sorted over `s` buckets. The
+/// buffers are reused from band to band.
+struct Builder<'a> {
+    radix: Radix<'a>,
     levels: usize,
     /// The band's entry indices in the order of the passes so far.
     order: Vec<usize>,
@@ -203,11 +169,11 @@ struct Builder<R> {
     sorted: Vec<usize>,
     /// Bucket offsets (`s + 1`).
     count: Vec<usize>,
-    emit: Emitter<R>,
+    emit: Emitter<'a>,
 }
 
-impl<R: Radix> Builder<R> {
-    fn new(radix: R, levels: usize) -> Builder<R> {
+impl<'a> Builder<'a> {
+    fn new(radix: Radix<'a>, levels: usize) -> Builder<'a> {
         Builder {
             radix,
             levels,
@@ -215,7 +181,7 @@ impl<R: Radix> Builder<R> {
             next: Vec::new(),
             digits: Vec::new(),
             sorted: Vec::new(),
-            count: vec![0; radix.s() + 1],
+            count: vec![0; radix.s + 1],
             emit: Emitter::new(levels, radix),
         }
     }
@@ -230,26 +196,23 @@ impl<R: Radix> Builder<R> {
             self.next.clear();
             let mut i = 0;
             while i < n {
-                let j = self.sort_run(band, level, i);
+                let (j, _) = self.sort_run(band, level, i);
                 let order = &self.order;
                 self.next.extend(self.sorted.iter().map(|&p| order[p]));
                 i = j;
             }
             std::mem::swap(&mut self.order, &mut self.next);
         }
-        let radix = self.radix;
+        let s = self.radix.s;
         let mut i = 0;
         while i < n {
-            let j = self.sort_run(band, 1, i);
+            let (j, (row0, col0)) = self.sort_run(band, 1, i);
             let (order, digits) = (&self.order, &self.digits);
             for group in self.sorted.chunk_by(|&a, &b| digits[a] == digits[b]) {
-                let leaf = group.iter().map(|&p| {
-                    let (r, c, value) = band[order[p]];
-                    leaf_entry(radix, r, c, value)
-                });
-                let (r, c, _) = band[order[group[0]]];
+                let origin = (row0, col0 + digits[group[0]] as usize * s);
+                let leaf = group.iter().map(|&p| leaf_entry(origin, band[order[p]]));
                 self.emit
-                    .push_leaf(radix.band(r, 1), radix.band(c, 1), leaf.collect());
+                    .push_leaf(origin.0 / s, origin.1 / s, leaf.collect());
             }
             i = j;
         }
@@ -258,21 +221,21 @@ impl<R: Radix> Builder<R> {
     /// Stable-sorts the run of `order` that starts at position `i` by
     /// column digit at `level`: records the digits, leaves the run's
     /// positions in digit order in `sorted`, and returns where the run
-    /// ends. A run shares its row band at `level` and its column band one
-    /// level up — every digit above `c_level`, and `r_level`.
-    fn sort_run(&mut self, band: &[Triplet], level: usize, i: usize) -> usize {
+    /// ends and the top-left corner of its cells. A run shares its row
+    /// cell at `level` and its column cell one level up — every digit
+    /// above `c_level`, and `r_level`.
+    fn sort_run(&mut self, band: &[Triplet], level: usize, i: usize) -> (usize, (usize, usize)) {
         let radix = self.radix;
-        let run_of = |k: usize| {
-            let (r, c, _) = band[k];
-            (radix.band(r, level), radix.band(c, level + 1))
-        };
-        let run = run_of(self.order[i]);
+        let (r0, c0, _) = band[self.order[i]];
+        let (rows, cols) = (radix.cell(r0, level), radix.cell(c0, level + 1));
+        let step = radix.steps[level];
         let (mut len, mut in_order, mut last) = (0, true, 0);
         for (&k, digit) in self.order[i..].iter().zip(&mut self.digits[i..]) {
-            if run_of(k) != run {
+            let (r, c, _) = band[k];
+            if !rows.contains(&r) || !cols.contains(&c) {
                 break;
             }
-            let d = radix.digit(band[k].1, level);
+            let d = ((c - cols.start) / step) as u8;
             in_order &= d >= last;
             (*digit, last) = (d, d);
             len += 1;
@@ -299,7 +262,7 @@ impl<R: Radix> Builder<R> {
             for &d in digits {
                 count[d as usize + 1] += 1;
             }
-            for b in 0..radix.s() {
+            for b in 0..radix.s {
                 count[b + 1] += count[b];
             }
             self.sorted.resize(len, 0);
@@ -308,7 +271,7 @@ impl<R: Radix> Builder<R> {
                 count[d as usize] += 1;
             }
         }
-        i + len
+        (i + len, (rows.start, cols.start))
     }
 }
 
@@ -316,8 +279,8 @@ impl<R: Radix> Builder<R> {
 /// open node of every level, closing a node into the arena as soon as a
 /// leaf falls outside it — deepest first, which is exactly the post-order
 /// of a recursive build.
-struct Emitter<R> {
-    radix: R,
+struct Emitter<'a> {
+    radix: Radix<'a>,
     levels: usize,
     arena: Vec<HismBlock>,
     /// Child pointers of the open node at each level (index 0 unused).
@@ -326,8 +289,8 @@ struct Emitter<R> {
     prev: Option<(usize, usize)>,
 }
 
-impl<R: Radix> Emitter<R> {
-    fn new(levels: usize, radix: R) -> Emitter<R> {
+impl<'a> Emitter<'a> {
+    fn new(levels: usize, radix: Radix<'a>) -> Emitter<'a> {
         Emitter {
             radix,
             levels,

@@ -14,18 +14,14 @@
 //! pairs are re-sorted row-major by their *swapped* coordinates — the
 //! order the s×s STM memory drains in — with the lengths vector of
 //! non-leaf blockarrays permuted identically, then children are visited
-//! through the rewritten pointer words. The output's integrity seal is
-//! summed as the words are written. The SpMV accumulates leaf
+//! through the rewritten pointer words. The SpMV accumulates leaf
 //! products into `y` strictly in hierarchy-walk order, left to right
 //! within each strip, exactly like the simulator's sequential
 //! scatter-accumulate; only the element-wise gather-multiply is
 //! SIMD-dispatched.
 
 use crate::{HostError, HostIsa};
-use stm_hism::image::{
-    pack_pos, unpack_pos, HismImage, IntegrityHeader, RootDesc, SectionSums, INTEGRITY_VERSION,
-    WORDS_PER_ENTRY,
-};
+use stm_hism::image::{pack_pos, unpack_pos, HismImage, RootDesc, WORDS_PER_ENTRY};
 use stm_sparse::Value;
 
 const WPE: usize = WORDS_PER_ENTRY as usize;
@@ -112,10 +108,6 @@ pub fn transpose_hism(
     let s = image.root.s as usize;
     let mut words = image.words.clone();
     let mut guard = Guard::new(image);
-    // Transposition rewrites position words, so the input's sums no
-    // longer apply: the output's are folded in as each word is written.
-    // The sums XOR per-word hashes, so the write order does not matter.
-    let mut sums = SectionSums::default();
     transpose_block(
         &mut words,
         image.root.addr,
@@ -123,8 +115,10 @@ pub fn transpose_hism(
         level,
         s,
         &mut guard,
-        &mut sums,
     )?;
+    if crate::diverge_requested("transpose_hism") {
+        diverge(&mut words, &image.root);
+    }
     let mut out = HismImage {
         words,
         root: RootDesc {
@@ -133,15 +127,11 @@ pub fn transpose_hism(
             ..image.root
         },
         pointer_sites: image.pointer_sites.clone(),
-        integrity: Some(IntegrityHeader {
-            version: INTEGRITY_VERSION,
-            sums,
-        }),
+        integrity: None,
     };
-    if crate::diverge_requested("transpose_hism") {
-        diverge(&mut out.words, &out.root);
-        out.seal_integrity();
-    }
+    // Transposition rewrites position words, so the input's sums no
+    // longer apply: seal the output fresh over the transposed words.
+    out.seal_integrity();
     Ok((out, guard.nnz))
 }
 
@@ -154,7 +144,6 @@ fn transpose_block(
     level: u32,
     s: usize,
     guard: &mut Guard,
-    sums: &mut SectionSums,
 ) -> Result<(), HostError> {
     if len == 0 {
         return Ok(());
@@ -188,27 +177,19 @@ fn transpose_block(
         )));
     }
 
-    // Payloads and (at levels ≥ 1) the lengths vector move by the same
-    // drain order; both are copied out first, as the writes overwrite
-    // their sources.
     let entries: Vec<u32> = words[base..base + WPE * len].to_vec();
-    let lens: Vec<u32> = if level > 0 {
-        words[base + WPE * len..base + WPE * len + len].to_vec()
-    } else {
-        Vec::new()
-    };
-    for (j, &key) in order.iter().enumerate() {
-        let k = (key & 0xffff_ffff) as usize;
-        let payload = entries[WPE * k];
-        let pos = pack_pos((key >> 40) as u8, ((key >> 32) & 0xff) as u8);
-        words[base + WPE * j] = payload;
-        words[base + WPE * j + 1] = pos;
-        if level > 0 {
-            words[base + WPE * len + j] = lens[k];
-            sums.add_node_entry(payload, pos, lens[k]);
-        } else {
-            sums.add_leaf_entry(payload, pos);
+    if level > 0 {
+        // Lengths pass first (it needs the pre-transposition positions),
+        // permuted by the same drain order as the entries.
+        let lens: Vec<u32> = words[base + WPE * len..base + WPE * len + len].to_vec();
+        for (j, &key) in order.iter().enumerate() {
+            words[base + WPE * len + j] = lens[(key & 0xffff_ffff) as usize];
         }
+    }
+    for (j, &key) in order.iter().enumerate() {
+        let (nr, nc) = ((key >> 40) as u8, ((key >> 32) & 0xff) as u8);
+        words[base + WPE * j] = entries[WPE * ((key & 0xffff_ffff) as usize)];
+        words[base + WPE * j + 1] = pack_pos(nr, nc);
     }
 
     if level > 0 {
@@ -216,7 +197,7 @@ fn transpose_block(
         for k in 0..len {
             let ptr = words[base + WPE * k];
             let clen = words[base + WPE * len + k] as usize;
-            transpose_block(words, ptr, clen, level - 1, s, guard, sums)?;
+            transpose_block(words, ptr, clen, level - 1, s, guard)?;
         }
     }
     Ok(())
@@ -510,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn the_folded_seal_equals_a_fresh_one_on_the_quick_catalogue() {
+    fn transposed_outputs_carry_a_fresh_seal_on_the_quick_catalogue() {
         for spec in stm_dsab::quick_catalogue() {
             let coo = spec.build();
             for s in [4, 64] {
