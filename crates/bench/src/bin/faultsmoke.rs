@@ -12,22 +12,9 @@
 //!
 //! Exits 0 when all checks hold, 1 otherwise.
 
-use stm_bench::{run_set, FaultSpec, RunConfig};
+use stm_bench::{flag_value, run_set, FaultSpec, RunConfig};
 use stm_dsab::{experiment_sets, quick_catalogue};
 use stm_hism::FaultClass;
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
 
 fn main() {
     stm_bench::handle_help(
@@ -41,13 +28,13 @@ fn main() {
             ("--index N", "set position of the victim matrix (default 2)"),
         ],
     );
-    let class = match arg_value("--class") {
+    let class = match flag_value(std::env::args(), "--class", None) {
         Some(name) => FaultClass::from_name(&name)
             .unwrap_or_else(|| panic!("unknown fault class {name:?}; see `FaultClass::ALL`")),
         None => FaultClass::PointerRetarget,
     };
     let set = experiment_sets(&quick_catalogue(), 6).by_locality;
-    let index: usize = arg_value("--index")
+    let index: usize = flag_value(std::env::args(), "--index", None)
         .and_then(|v| v.parse().ok())
         .unwrap_or(2.min(set.len() - 1));
     assert!(

@@ -64,17 +64,7 @@ fn run_leg(entry: &SuiteEntry, kernel: &str, backend: Backend, reps: usize) -> R
 
 /// `--reps N` / `--reps=N` / `STM_SIMCORR_REPS=N` (default 3).
 fn reps_from_env() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--reps" {
-            return args.next().and_then(|n| n.parse().ok()).unwrap_or(3);
-        }
-        if let Some(n) = a.strip_prefix("--reps=") {
-            return n.parse().unwrap_or(3);
-        }
-    }
-    std::env::var("STM_SIMCORR_REPS")
-        .ok()
+    stm_bench::flag_value(std::env::args(), "--reps", Some("STM_SIMCORR_REPS"))
         .and_then(|n| n.parse().ok())
         .unwrap_or(3)
 }
@@ -107,10 +97,15 @@ fn main() {
     let mut seen = std::collections::HashSet::new();
     let entries: Vec<&SuiteEntry> = sets.all().filter(|e| seen.insert(e.name.clone())).collect();
     let simd_isa = Backend::Simd.resolve().expect("simd resolves to an ISA");
+    let kernels: Vec<&str> = registry::KERNELS
+        .iter()
+        .filter(|k| k.host)
+        .map(|k| k.name)
+        .collect();
     println!(
         "simcorr: {} matrices x {} kernels, {reps} host reps, simd leg runs {}",
         entries.len(),
-        registry::HOST_CAPABLE.len(),
+        kernels.len(),
         simd_isa.name()
     );
 
@@ -124,7 +119,7 @@ fn main() {
         .clone();
     let mut gate_violations = Vec::new();
     for entry in &entries {
-        for &kernel in &registry::HOST_CAPABLE {
+        for &kernel in &kernels {
             let legs: Result<(Leg, Leg, Leg), String> = (|| {
                 Ok((
                     run_leg(entry, kernel, Backend::Sim, 1)?,

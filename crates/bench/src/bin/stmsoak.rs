@@ -47,23 +47,10 @@ use stm_bench::output::format_table;
 use stm_bench::resilient::{
     self, ChaosSpec, EntryStatus, Outcome, SdcSpec, SlotRecord, SoakConfig, VerifyMode,
 };
-use stm_bench::RunConfig;
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+use stm_bench::{flag_value, RunConfig};
 
 fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
+    flag_value(std::env::args(), flag, None).map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("stmsoak: bad value {v:?} for {flag}");
             std::process::exit(2);
@@ -146,7 +133,7 @@ fn main() {
             seed: parsed("--seed").unwrap_or(0xC0FFEE),
         });
     }
-    if let Some(m) = arg_value("--verify-mode") {
+    if let Some(m) = flag_value(std::env::args(), "--verify-mode", None) {
         cfg.verify_mode = VerifyMode::from_name(&m).unwrap_or_else(|| {
             eprintln!("stmsoak: bad value {m:?} for --verify-mode (off|checksum|dual|vote)");
             std::process::exit(2);
@@ -163,7 +150,7 @@ fn main() {
         // the oracle.
         cfg.run.verify = false;
     }
-    cfg.checkpoint = arg_value("--checkpoint").map(Into::into);
+    cfg.checkpoint = flag_value(std::env::args(), "--checkpoint", None).map(Into::into);
     cfg.stop_after = parsed("--stop-after");
     cfg.format = cfg.run.format.take();
 
@@ -252,7 +239,7 @@ fn main() {
     // histograms in the same exposition grammar the server scrapes
     // serve, so offline soak runs and live service runs are comparable
     // with the same tooling.
-    if let Some(path) = arg_value("--metrics") {
+    if let Some(path) = flag_value(std::env::args(), "--metrics", None) {
         use stm_obs::telemetry::{render_prometheus, WindowSummary};
         let mut snap = stm_obs::MetricsSnapshot::default();
         for (name, v) in &report.trace.counters {

@@ -678,7 +678,7 @@ mod tests {
     fn run_kernel_covers_every_registry_name() {
         let cfg = RunConfig::default();
         let e = entry("small", gen::random::uniform(48, 48, 200, 5));
-        for &name in registry::names() {
+        for name in registry::names() {
             let r = run_kernel(&cfg, name, &e).unwrap();
             assert!(r.report.cycles > 0, "{name} charged no cycles");
         }

@@ -55,17 +55,10 @@ pub fn sets_from_env() -> (ExperimentSets, &'static str) {
 /// Parses the worker-thread count from the CLI args / environment:
 /// `--jobs N`, `--jobs=N` or `STM_JOBS=N`. `None` (no flag) lets the
 /// harness use the machine's parallelism; `--jobs 1` forces serial runs.
+/// An unparsable `--jobs` value also yields `None`, without falling back
+/// to `STM_JOBS`.
 pub fn jobs_from_env() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            return args.next().and_then(|n| n.parse().ok());
-        }
-        if let Some(n) = a.strip_prefix("--jobs=") {
-            return n.parse().ok();
-        }
-    }
-    std::env::var("STM_JOBS").ok().and_then(|n| n.parse().ok())
+    flag_value(std::env::args(), "--jobs", Some("STM_JOBS")).and_then(|n| n.parse().ok())
 }
 
 /// Parses the trace output directory from the CLI args / environment:
@@ -74,18 +67,7 @@ pub fn jobs_from_env() -> Option<usize> {
 /// per-matrix `.jsonl` / `.csv` / `.trace.json` files under the directory
 /// (see [`trace`]). `None` (no flag) leaves tracing compiled out.
 pub fn trace_dir_from_env() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(d) = a.strip_prefix("--trace=") {
-            return Some(std::path::PathBuf::from(d));
-        }
-    }
-    std::env::var("STM_TRACE")
-        .ok()
-        .map(std::path::PathBuf::from)
+    flag_value(std::env::args(), "--trace", Some("STM_TRACE")).map(Into::into)
 }
 
 /// Parses the baseline output path from the CLI args / environment:
@@ -94,18 +76,7 @@ pub fn trace_dir_from_env() -> Option<std::path::PathBuf> {
 /// performance baseline (see [`baseline`]) that `benchdiff` can compare
 /// against a committed copy.
 pub fn bench_json_from_env() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--bench-json" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(f) = a.strip_prefix("--bench-json=") {
-            return Some(std::path::PathBuf::from(f));
-        }
-    }
-    std::env::var("STM_BENCH_JSON")
-        .ok()
-        .map(std::path::PathBuf::from)
+    flag_value(std::env::args(), "--bench-json", Some("STM_BENCH_JSON")).map(Into::into)
 }
 
 /// Parses the storage-format selection from the CLI args / environment:
@@ -117,19 +88,7 @@ pub fn bench_json_from_env() -> Option<std::path::PathBuf> {
 /// value aborts with exit code 2: a silently dropped format flag would
 /// invalidate a whole campaign.
 pub fn format_from_env() -> Option<stm_dsab::FormatSel> {
-    let mut raw = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--format" {
-            raw = args.next();
-            break;
-        }
-        if let Some(v) = a.strip_prefix("--format=") {
-            raw = Some(v.to_string());
-            break;
-        }
-    }
-    let raw = raw.or_else(|| std::env::var("STM_FORMAT").ok())?;
+    let raw = flag_value(std::env::args(), "--format", Some("STM_FORMAT"))?;
     match stm_dsab::FormatSel::parse(&raw) {
         Some(sel) => Some(sel),
         None => {
@@ -150,19 +109,7 @@ pub fn format_from_env() -> Option<stm_dsab::FormatSel> {
 /// campaign's numbers.
 pub fn backend_from_env() -> stm_core::kernels::registry::Backend {
     use stm_core::kernels::registry::Backend;
-    let mut raw = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--backend" {
-            raw = args.next();
-            break;
-        }
-        if let Some(v) = a.strip_prefix("--backend=") {
-            raw = Some(v.to_string());
-            break;
-        }
-    }
-    let Some(raw) = raw.or_else(|| std::env::var("STM_BACKEND").ok()) else {
+    let Some(raw) = flag_value(std::env::args(), "--backend", Some("STM_BACKEND")) else {
         return Backend::Sim;
     };
     match Backend::parse(&raw) {
@@ -225,6 +172,31 @@ pub fn handle_help(bin: &str, about: &str, extra: &[(&str, &str)]) {
     }
 }
 
+/// The value of `flag` in `args` (`--flag V` or `--flag=V`; the first
+/// occurrence wins), else the environment variable `env` when one is
+/// named and set. A trailing `--flag` with no value counts as absent. The
+/// value is returned unparsed, so a bad value is the caller's to reject —
+/// it never falls back to `env`. Binaries pass `std::env::args()`.
+pub fn flag_value(
+    args: impl IntoIterator<Item = String>,
+    flag: &str,
+    env: Option<&str>,
+) -> Option<String> {
+    let mut args = args.into_iter();
+    let mut found = None;
+    while let Some(a) = args.next() {
+        if a == flag {
+            found = args.next();
+            break;
+        }
+        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+            found = Some(v.to_string());
+            break;
+        }
+    }
+    found.or_else(|| std::env::var(env?).ok())
+}
+
 /// `true` when `--strict` is on the command line or `STM_STRICT=1` is in
 /// the environment: the harness then panics on the first failed matrix
 /// (nonzero exit) instead of recording it as a `Failed` row.
@@ -233,4 +205,73 @@ pub fn strict_from_env() -> bool {
         || std::env::var("STM_STRICT")
             .map(|v| v == "1")
             .unwrap_or(false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flag_value;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        std::iter::once("bin")
+            .chain(args.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn both_spellings_read_the_value() {
+        assert_eq!(
+            flag_value(argv(&["--jobs", "3"]), "--jobs", None).as_deref(),
+            Some("3")
+        );
+        assert_eq!(
+            flag_value(argv(&["--quick", "--jobs=4"]), "--jobs", None).as_deref(),
+            Some("4")
+        );
+        // The first occurrence wins; a longer flag sharing the prefix is
+        // a different flag.
+        assert_eq!(
+            flag_value(argv(&["--jobs=1", "--jobs", "2"]), "--jobs", None).as_deref(),
+            Some("1")
+        );
+        assert_eq!(flag_value(argv(&["--jobsx=5"]), "--jobs", None), None);
+        assert_eq!(flag_value(argv(&["--quick"]), "--jobs", None), None);
+    }
+
+    #[test]
+    fn a_trailing_flag_with_no_value_is_absent() {
+        assert_eq!(
+            flag_value(argv(&["--quick", "--trace"]), "--trace", None),
+            None
+        );
+    }
+
+    #[test]
+    fn the_flag_takes_precedence_over_the_env_var() {
+        // A variable no other test or binary reads, so setting it cannot
+        // race with anything.
+        const VAR: &str = "STM_BENCH_FLAG_VALUE_TEST";
+        std::env::set_var(VAR, "env");
+        assert_eq!(
+            flag_value(argv(&["--x", "flag"]), "--x", Some(VAR)).as_deref(),
+            Some("flag")
+        );
+        assert_eq!(
+            flag_value(argv(&[]), "--x", Some(VAR)).as_deref(),
+            Some("env")
+        );
+        assert_eq!(flag_value(argv(&[]), "--x", None), None);
+        std::env::remove_var(VAR);
+        assert_eq!(flag_value(argv(&[]), "--x", Some(VAR)), None);
+    }
+
+    #[test]
+    fn an_unparsable_value_does_not_fall_back_to_the_env_var() {
+        const VAR: &str = "STM_BENCH_FLAG_VALUE_TEST_JOBS";
+        std::env::set_var(VAR, "8");
+        let jobs = flag_value(argv(&["--jobs", "many"]), "--jobs", Some(VAR))
+            .and_then(|n| n.parse::<usize>().ok());
+        assert_eq!(jobs, None);
+        std::env::remove_var(VAR);
+    }
 }

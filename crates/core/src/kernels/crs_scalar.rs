@@ -9,14 +9,14 @@
 //! init, column histogram, scan-add, scatter — as one program for the
 //! scalar mini-ISA and executes it on the timed pipeline.
 
-use crate::exec::KernelError;
+use crate::exec::{ExecCtx, KernelError};
 use crate::kernels::crs_transpose::{decode_result, load_csr, CrsLayout};
 use crate::obs::{record_oob, record_phases};
 use crate::report::{Phase, TransposeReport};
-use stm_obs::{Category, Lane, Recorder};
+use stm_obs::{Category, Lane};
 use stm_sparse::Csr;
 use stm_vpsim::scalar::{run_scalar, Asm, Program};
-use stm_vpsim::{Allocator, Memory, TimingKind, VpConfig};
+use stm_vpsim::{Allocator, Memory};
 
 /// Builds the complete scalar transposition program over a [`CrsLayout`].
 pub fn scalar_transpose_program(layout: &CrsLayout, rows: usize, cols: usize) -> Program {
@@ -127,37 +127,18 @@ pub fn scalar_transpose_max_instructions(rows: usize, cols: usize, nnz: usize) -
         + 16 * nnz as u64
 }
 
-/// Runs the fully scalar transposition; returns the decoded transpose
-/// and the report (all cycles in the single `scalar` phase).
+/// Runs the fully scalar transposition on the context's machine; returns
+/// the decoded transpose and the report (all cycles in the single
+/// `scalar-transpose` phase). The whole kernel is one scalar-core interpreter run,
+/// so the timing model maps its cycle total (identity under the paper
+/// model, zero under the ideal bound) and the trace is a single
+/// `Complete` span on the scalar lane plus the phase roll-up; the decoded
+/// result is identical either way.
 pub fn transpose_crs_scalar(
-    vp_cfg: &VpConfig,
+    ctx: &ExecCtx,
     csr: &Csr,
 ) -> Result<(Csr, TransposeReport), KernelError> {
-    transpose_crs_scalar_timed(vp_cfg, csr, TimingKind::Paper)
-}
-
-/// [`transpose_crs_scalar`] under an explicit timing model. The whole
-/// kernel is one scalar-core phase, so the model maps its cycle total
-/// (identity under the paper model, zero under the ideal bound); the
-/// decoded result is identical either way.
-pub fn transpose_crs_scalar_timed(
-    vp_cfg: &VpConfig,
-    csr: &Csr,
-    timing: TimingKind,
-) -> Result<(Csr, TransposeReport), KernelError> {
-    transpose_crs_scalar_obs(vp_cfg, csr, timing, &Recorder::disabled())
-}
-
-/// [`transpose_crs_scalar_timed`] with a structured-event [`Recorder`].
-/// The whole kernel is one scalar-core interpreter run, so the trace is a
-/// single `Complete` span on the scalar lane plus the phase roll-up; a
-/// disabled recorder makes this identical to the timed variant.
-pub fn transpose_crs_scalar_obs(
-    vp_cfg: &VpConfig,
-    csr: &Csr,
-    timing: TimingKind,
-    rec: &Recorder,
-) -> Result<(Csr, TransposeReport), KernelError> {
+    let (vp_cfg, rec) = (&ctx.vp, &ctx.obs);
     let mut mem = Memory::new();
     let mut alloc = Allocator::new(64);
     let layout = load_csr(&mut mem, &mut alloc, csr);
@@ -168,7 +149,7 @@ pub fn transpose_crs_scalar_obs(
     let program = scalar_transpose_program(&layout, rows, cols);
     let cap = scalar_transpose_max_instructions(rows, cols, nnz);
     let stats = run_scalar(vp_cfg, &mut mem, &program, cap);
-    let cycles = timing.model().scalar_cycles(stats.cycles);
+    let cycles = ctx.timing.model().scalar_cycles(stats.cycles);
     if rec.is_enabled() {
         rec.complete(
             Lane::Scalar,
@@ -217,7 +198,7 @@ mod tests {
     use stm_sparse::{gen, Coo};
 
     fn run(coo: &Coo) -> (Csr, TransposeReport) {
-        transpose_crs_scalar(&VpConfig::paper(), &Csr::from_coo(coo)).unwrap()
+        transpose_crs_scalar(&ExecCtx::paper(), &Csr::from_coo(coo)).unwrap()
     }
 
     #[test]
@@ -243,8 +224,9 @@ mod tests {
     fn agrees_with_vectorized_kernel() {
         let coo = gen::blocks::block_band(96, 8, 1, 0.8, 3);
         let csr = Csr::from_coo(&coo);
-        let (scalar_t, _) = transpose_crs_scalar(&VpConfig::paper(), &csr).unwrap();
-        let (vector_t, _) = transpose_crs(&VpConfig::paper(), &csr).unwrap();
+        let ctx = ExecCtx::paper();
+        let (scalar_t, _) = transpose_crs_scalar(&ctx, &csr).unwrap();
+        let (vector_t, _) = transpose_crs(&ctx, &csr).unwrap();
         assert_eq!(scalar_t, vector_t);
     }
 
@@ -259,8 +241,9 @@ mod tests {
             }
         }
         let csr = Csr::from_coo(&coo);
-        let (_, scalar_rep) = transpose_crs_scalar(&VpConfig::paper(), &csr).unwrap();
-        let (_, vector_rep) = transpose_crs(&VpConfig::paper(), &csr).unwrap();
+        let ctx = ExecCtx::paper();
+        let (_, scalar_rep) = transpose_crs_scalar(&ctx, &csr).unwrap();
+        let (_, vector_rep) = transpose_crs(&ctx, &csr).unwrap();
         assert!(
             vector_rep.cycles < scalar_rep.cycles,
             "vector {} !< scalar {}",
@@ -274,7 +257,7 @@ mod tests {
         let coo = gen::rmat::rmat(6, 300, gen::rmat::RmatProbs::default(), 4);
         let csr = Csr::from_coo(&coo);
         let (t, _) = run(&coo);
-        let (tt, _) = transpose_crs_scalar(&VpConfig::paper(), &t).unwrap();
+        let (tt, _) = transpose_crs_scalar(&ExecCtx::paper(), &t).unwrap();
         assert_eq!(tt, csr);
     }
 }

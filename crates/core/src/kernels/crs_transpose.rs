@@ -28,15 +28,14 @@
 //! output arrays (`JAT`, `ANT`, `IAT`) — the paper points this contrast
 //! out in Section IV-A.
 
-use crate::exec::KernelError;
+use super::{engine, finish, Ran};
+use crate::exec::{ExecCtx, KernelError};
 use crate::kernels::histogram::{histogram_max_instructions, histogram_program};
 use crate::kernels::scan::scan_add_inplace;
-use crate::obs::{record_oob, record_phases};
 use crate::report::{Phase, TransposeReport};
-use stm_obs::Recorder;
 use stm_sparse::Csr;
-use stm_vpsim::scalar::{run_scalar, ScalarRunStats};
-use stm_vpsim::{Allocator, Engine, Memory, TimingKind, VpConfig};
+use stm_vpsim::scalar::run_scalar;
+use stm_vpsim::{Allocator, Engine, Memory, VpConfig};
 
 /// Word addresses of the CRS arrays in simulated memory.
 #[derive(Debug, Clone, Copy)]
@@ -113,62 +112,22 @@ fn row_overhead(cfg: &VpConfig) -> u64 {
     cfg.loop_overhead + 2 * cfg.scalar_cache.hit_latency
 }
 
-/// Simulates the CRS transposition of `csr`. Returns the transposed
-/// matrix (decoded from simulated memory) and the cycle report.
-pub fn transpose_crs(vp_cfg: &VpConfig, csr: &Csr) -> Result<(Csr, TransposeReport), KernelError> {
-    transpose_crs_timed(vp_cfg, csr, TimingKind::Paper)
-}
-
-/// [`transpose_crs`] under an explicit timing model — the functional
-/// result is identical for every model; only the cycle accounting changes.
-pub fn transpose_crs_timed(
-    vp_cfg: &VpConfig,
-    csr: &Csr,
-    timing: TimingKind,
-) -> Result<(Csr, TransposeReport), KernelError> {
-    transpose_crs_obs(vp_cfg, csr, timing, &Recorder::disabled())
-}
-
-/// [`transpose_crs_timed`] with a structured-event [`Recorder`]: vector
-/// instructions, the serial histogram phase, phase spans and memory-fault
-/// instants land in `rec`. A disabled recorder makes this identical to
-/// [`transpose_crs_timed`].
-pub fn transpose_crs_obs(
-    vp_cfg: &VpConfig,
-    csr: &Csr,
-    timing: TimingKind,
-    rec: &Recorder,
-) -> Result<(Csr, TransposeReport), KernelError> {
+/// Simulates the CRS transposition of `csr` on the context's machine,
+/// under its timing model (the functional result is identical for every
+/// model; only the cycle accounting changes). Vector instructions, the
+/// serial histogram phase, phase spans and memory-fault instants land in
+/// `ctx.obs`. Returns the transposed matrix (decoded from simulated
+/// memory) and the cycle report.
+pub fn transpose_crs(ctx: &ExecCtx, csr: &Csr) -> Result<(Csr, TransposeReport), KernelError> {
     let mut mem = Memory::new();
     let mut alloc = Allocator::new(64); // leave a scratch page at 0
     let layout = load_csr(&mut mem, &mut alloc, csr);
     // Corrupt column indices would scatter outside the allocation; the
     // guard records that as a fault instead of silently growing memory.
-    mem.guard(alloc.watermark(), vp_cfg.oob);
+    let mut e = engine(ctx, mem, alloc.watermark());
     let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
-    let mut e = Engine::with_timing(vp_cfg.clone(), mem, timing);
-    e.set_recorder(rec.clone());
-
-    let phased = run_phases(&mut e, vp_cfg, &layout, rows, cols, nnz);
-    // Fault accounting happens on every exit path so traces of corrupted
-    // runs still carry their `mem.oob` instants and counter.
-    record_oob(rec, e.stats_snapshot().mem_oob_events, e.cycles());
-    let (phases, scalar_stats) = phased?;
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
-    }
-    let report = TransposeReport {
-        wall_ns: None,
-        cycles: e.cycles(),
-        nnz,
-        engine: e.stats_snapshot(),
-        scalar: Some(scalar_stats),
-        stm: None,
-        phases,
-        fu_busy: *e.fu_busy(),
-        stalls: e.stall_breakdown(),
-    };
-    record_phases(rec, &report.phases);
+    let ran = run_phases(&mut e, &ctx.vp, &layout, rows, cols, nnz);
+    let report = finish(ctx, &e, nnz, None, ran)?;
     let result = decode_result(e.mem(), &layout, rows, cols, nnz)?;
     Ok((result, report))
 }
@@ -185,7 +144,7 @@ pub(crate) fn run_phases(
     rows: usize,
     cols: usize,
     nnz: usize,
-) -> Result<(Vec<Phase>, ScalarRunStats), KernelError> {
+) -> Result<Ran, KernelError> {
     let mut phases = Vec::new();
     let s = vp_cfg.section_size;
     let start = e.cycles();
@@ -267,7 +226,10 @@ pub(crate) fn run_phases(
         name: "scatter",
         cycles: t3 - t2,
     });
-    Ok((phases, scalar_stats))
+    Ok(Ran {
+        phases,
+        scalar: Some(scalar_stats),
+    })
 }
 
 #[cfg(test)]
@@ -276,7 +238,7 @@ mod tests {
     use stm_sparse::{gen, Coo};
 
     fn run(coo: &Coo) -> (Csr, TransposeReport) {
-        transpose_crs(&VpConfig::paper(), &Csr::from_coo(coo)).unwrap()
+        transpose_crs(&ExecCtx::paper(), &Csr::from_coo(coo)).unwrap()
     }
 
     #[test]
@@ -352,8 +314,9 @@ mod tests {
     fn double_transpose_round_trips() {
         let coo = gen::rmat::rmat(7, 600, gen::rmat::RmatProbs::default(), 8);
         let csr = Csr::from_coo(&coo);
-        let (t, _) = transpose_crs(&VpConfig::paper(), &csr).unwrap();
-        let (tt, _) = transpose_crs(&VpConfig::paper(), &t).unwrap();
+        let ctx = ExecCtx::paper();
+        let (t, _) = transpose_crs(&ctx, &csr).unwrap();
+        let (tt, _) = transpose_crs(&ctx, &t).unwrap();
         assert_eq!(tt, csr);
     }
 }

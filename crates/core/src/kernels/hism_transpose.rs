@@ -22,23 +22,25 @@
 //! the original is needed to store the transposed block and therefore no
 //! allocation of memory for the transposed is needed" (Section IV-A).
 
+use super::{engine, finish, Ran};
 use crate::coproc::StmCoprocessor;
-use crate::exec::KernelError;
-use crate::obs::{record_oob, record_phases};
-use crate::report::{Phase, TransposeReport};
-use crate::unit::StmConfig;
+use crate::exec::{ExecCtx, KernelError};
+use crate::report::TransposeReport;
 use stm_hism::image::{HismImage, RootDesc, WORDS_PER_ENTRY};
 use stm_hism::ImageError;
-use stm_obs::Recorder;
-use stm_vpsim::{Engine, Memory, TimingKind, VpConfig};
+use stm_vpsim::{Engine, Memory};
 
 /// Scalar cycles charged per child-block recursion step: loading the
 /// pointer and length words (two likely-hit scalar loads) plus call
 /// overhead. A model constant in the spirit of `VpConfig::loop_overhead`.
 pub const CHILD_CALL_OVERHEAD: u64 = 8;
 
-/// Simulates the HiSM transposition of `image` on a vector processor
-/// `vp_cfg` extended with an STM configured by `stm_cfg`.
+/// Simulates the HiSM transposition of `image` on the context's vector
+/// processor extended with an STM configured by `ctx.stm`, under the
+/// context's timing model (the functional result is identical for every
+/// model; only the cycle accounting changes). Every vector instruction,
+/// STM block session (with buffer-utilization samples), phase span and
+/// memory-fault instant lands in `ctx.obs`.
 ///
 /// Returns the transposed image (same layout, blockarrays permuted in
 /// place, root descriptor with swapped logical shape) and the report.
@@ -46,47 +48,21 @@ pub const CHILD_CALL_OVERHEAD: u64 = 8;
 /// The image is treated as untrusted: corrupt pointers, runaway lengths
 /// or out-of-block positions surface as typed [`KernelError`]s (the
 /// simulated memory is guarded to the image footprint under
-/// `vp_cfg.oob`), never as panics or unbounded recursion.
+/// `ctx.vp.oob`), never as panics or unbounded recursion.
 pub fn transpose_hism(
-    vp_cfg: &VpConfig,
-    stm_cfg: StmConfig,
+    ctx: &ExecCtx,
     image: &HismImage,
 ) -> Result<(HismImage, TransposeReport), KernelError> {
-    transpose_hism_timed(vp_cfg, stm_cfg, image, TimingKind::Paper)
-}
-
-/// [`transpose_hism`] under an explicit timing model — the functional
-/// result is identical for every model; only the cycle accounting changes.
-pub fn transpose_hism_timed(
-    vp_cfg: &VpConfig,
-    stm_cfg: StmConfig,
-    image: &HismImage,
-    timing: TimingKind,
-) -> Result<(HismImage, TransposeReport), KernelError> {
-    transpose_hism_obs(vp_cfg, stm_cfg, image, timing, &Recorder::disabled())
-}
-
-/// [`transpose_hism_timed`] with a structured-event [`Recorder`]: every
-/// vector instruction, STM block session (with buffer-utilization
-/// samples), phase span and memory-fault instant lands in `rec`. A
-/// disabled recorder makes this identical to [`transpose_hism_timed`].
-pub fn transpose_hism_obs(
-    vp_cfg: &VpConfig,
-    stm_cfg: StmConfig,
-    image: &HismImage,
-    timing: TimingKind,
-    rec: &Recorder,
-) -> Result<(HismImage, TransposeReport), KernelError> {
-    if vp_cfg.section_size != stm_cfg.s {
+    if ctx.vp.section_size != ctx.stm.s {
         return Err(KernelError::Config(format!(
             "engine section size {} != STM section size {}",
-            vp_cfg.section_size, stm_cfg.s
+            ctx.vp.section_size, ctx.stm.s
         )));
     }
-    if image.root.s as usize != stm_cfg.s {
+    if image.root.s as usize != ctx.stm.s {
         return Err(KernelError::Config(format!(
             "image section size {} != STM section size {}",
-            image.root.s, stm_cfg.s
+            image.root.s, ctx.stm.s
         )));
     }
     let nnz = image_nnz(image)?;
@@ -94,10 +70,8 @@ pub fn transpose_hism_obs(
     mem.write_block(0, &image.words);
     // The transposition is in place: every legitimate access stays inside
     // the image footprint, so anything past it is a corrupt pointer.
-    mem.guard(image.words.len() as u32, vp_cfg.oob);
-    let mut e = Engine::with_timing(vp_cfg.clone(), mem, timing);
-    e.set_recorder(rec.clone());
-    let mut stm = StmCoprocessor::new(stm_cfg);
+    let mut e = engine(ctx, mem, image.words.len() as u32);
+    let mut stm = StmCoprocessor::new(ctx.stm);
 
     // Entry budget: a well-formed image has one `[payload, pos]` pair per
     // entry, so total entries across all blockarrays is < words/2 + 1.
@@ -110,31 +84,9 @@ pub fn transpose_hism_obs(
         image.root.levels - 1,
         &mut budget,
     );
-    // Fault accounting happens on every exit path so traces of corrupted
-    // runs still carry their `mem.oob` instants and counter.
     stm.close_session(&e);
-    record_oob(rec, e.stats_snapshot().mem_oob_events, e.cycles());
-    walked?;
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
-    }
-
-    let cycles = e.cycles();
-    let report = TransposeReport {
-        wall_ns: None,
-        cycles,
-        nnz,
-        engine: e.stats_snapshot(),
-        scalar: None,
-        stm: Some(*stm.stats()),
-        phases: vec![Phase {
-            name: "hism-transpose",
-            cycles,
-        }],
-        fu_busy: *e.fu_busy(),
-        stalls: e.stall_breakdown(),
-    };
-    record_phases(rec, &report.phases);
+    let ran = walked.map(|()| Ran::whole("hism-transpose", &e));
+    let report = finish(ctx, &e, nnz, Some(*stm.stats()), ran)?;
     let mem = e.into_mem();
     let mut out = HismImage {
         words: mem.read_block(0, image.words.len()),
@@ -298,16 +250,21 @@ fn transpose_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unit::StmConfig;
     use stm_hism::{build, transpose as href, HismImage};
     use stm_sparse::{gen, Coo};
 
+    /// The paper machine at section size `s` with STM bandwidth `b`.
+    fn ctx(s: usize, b: u64) -> ExecCtx {
+        let mut ctx = ExecCtx::paper();
+        ctx.vp.section_size = s;
+        ctx.stm = StmConfig { s, b, l: 4 };
+        ctx
+    }
+
     fn run(coo: &Coo, s: usize) -> (HismImage, TransposeReport) {
         let h = build::from_coo(coo, s).unwrap();
-        let img = HismImage::encode(&h);
-        let mut vp = VpConfig::paper();
-        vp.section_size = s;
-        let stm_cfg = StmConfig { s, b: 4, l: 4 };
-        transpose_hism(&vp, stm_cfg, &img).unwrap()
+        transpose_hism(&ctx(s, 4), &HismImage::encode(&h)).unwrap()
     }
 
     #[test]
@@ -350,9 +307,7 @@ mod tests {
         let coo = gen::blocks::block_dense(64, 8, 5, 0.6, 31);
         let h = build::from_coo(&coo, 8).unwrap();
         let img = HismImage::encode(&h);
-        let mut vp = VpConfig::paper();
-        vp.section_size = 8;
-        let (out, _) = transpose_hism(&vp, StmConfig { s: 8, b: 4, l: 4 }, &img).unwrap();
+        let (out, _) = transpose_hism(&ctx(8, 4), &img).unwrap();
         let reference = href::transpose(&h);
         let expected = HismImage::encode(&reference);
         // Same layout and in-place property ⇒ identical word images.
@@ -365,11 +320,9 @@ mod tests {
         let coo = gen::rmat::rmat(6, 150, gen::rmat::RmatProbs::default(), 3);
         let h = build::from_coo(&coo, 8).unwrap();
         let img = HismImage::encode(&h);
-        let mut vp = VpConfig::paper();
-        vp.section_size = 8;
-        let cfg = StmConfig { s: 8, b: 4, l: 4 };
-        let (once, _) = transpose_hism(&vp, cfg, &img).unwrap();
-        let (twice, _) = transpose_hism(&vp, cfg, &once).unwrap();
+        let ctx = ctx(8, 4);
+        let (once, _) = transpose_hism(&ctx, &img).unwrap();
+        let (twice, _) = transpose_hism(&ctx, &once).unwrap();
         assert_eq!(twice.words, img.words);
     }
 
@@ -385,14 +338,7 @@ mod tests {
         let coo = gen::blocks::block_dense(64, 16, 8, 0.9, 1);
         let h = build::from_coo(&coo, 16).unwrap();
         let img = HismImage::encode(&h);
-        let mut vp = VpConfig::paper();
-        vp.section_size = 16;
-        let cyc = |b: u64| {
-            transpose_hism(&vp, StmConfig { s: 16, b, l: 4 }, &img)
-                .unwrap()
-                .1
-                .cycles
-        };
+        let cyc = |b: u64| transpose_hism(&ctx(16, b), &img).unwrap().1.cycles;
         assert!(cyc(4) <= cyc(1));
         assert!(cyc(8) <= cyc(4));
     }

@@ -9,14 +9,12 @@
 //! therefore the final output are **byte-identical** to the
 //! `transpose_crs` reference.
 
-use crate::exec::KernelError;
+use super::{engine, finish, Ran};
+use crate::exec::{ExecCtx, KernelError};
 use crate::kernels::crs_transpose::{decode_result, run_phases, CrsLayout};
-use crate::obs::{record_oob, record_phases};
 use crate::report::{Phase, TransposeReport};
-use stm_obs::Recorder;
 use stm_sparse::{Csr, Value};
-use stm_vpsim::scalar::ScalarRunStats;
-use stm_vpsim::{Allocator, Engine, Memory, TimingKind, VpConfig};
+use stm_vpsim::{Allocator, Engine, Memory, VpConfig};
 
 /// The raw JD arrays a run consumes, mutable for the fault injector.
 #[derive(Debug, Clone)]
@@ -79,15 +77,10 @@ impl JdArrays {
     }
 }
 
-/// Simulates the JD transposition of `ja`. Returns the transposed CSR
-/// matrix and the cycle report (three regroup phases followed by the
-/// four standard CRS phases).
-pub fn transpose_jd_obs(
-    vp_cfg: &VpConfig,
-    jda: &JdArrays,
-    timing: TimingKind,
-    rec: &Recorder,
-) -> Result<(Csr, TransposeReport), KernelError> {
+/// Simulates the JD transposition of `jda` on the context's machine.
+/// Returns the transposed CSR matrix and the cycle report (three regroup
+/// phases followed by the four standard CRS phases).
+pub fn transpose_jd(ctx: &ExecCtx, jda: &JdArrays) -> Result<(Csr, TransposeReport), KernelError> {
     jda.check()?;
     let (rows, cols, nnz) = (jda.rows, jda.cols, jda.col_idx.len());
     let n_diag = jda.jd_ptr.len() - 1;
@@ -113,9 +106,8 @@ pub fn transpose_jd_obs(
     mem.write_block(jdptr, &jdptrv);
     mem.write_block(jdc, &jdcv);
     mem.write_block(jdv, &jdvv);
-    mem.guard(alloc.watermark(), vp_cfg.oob);
-    let mut e = Engine::with_timing(vp_cfg.clone(), mem, timing);
-    e.set_recorder(rec.clone());
+    let mut e = engine(ctx, mem, alloc.watermark());
+    let rec = &ctx.obs;
     if rec.is_enabled() {
         rec.add("format.jd.diagonals", n_diag as u64);
         rec.add(
@@ -136,24 +128,8 @@ pub fn transpose_jd_obs(
         jat,
         ant,
     };
-    let phased = run_all_phases(&mut e, vp_cfg, jda, perm, jdptr, jdc, jdv, cur, &layout);
-    record_oob(rec, e.stats_snapshot().mem_oob_events, e.cycles());
-    let (phases, scalar_stats) = phased?;
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
-    }
-    let report = TransposeReport {
-        wall_ns: None,
-        cycles: e.cycles(),
-        nnz,
-        engine: e.stats_snapshot(),
-        scalar: Some(scalar_stats),
-        stm: None,
-        phases,
-        fu_busy: *e.fu_busy(),
-        stalls: e.stall_breakdown(),
-    };
-    record_phases(rec, &report.phases);
+    let ran = run_all_phases(&mut e, &ctx.vp, jda, perm, jdptr, jdc, jdv, cur, &layout);
+    let report = finish(ctx, &e, nnz, None, ran)?;
     let result = decode_result(e.mem(), &layout, rows, cols, nnz)?;
     Ok((result, report))
 }
@@ -171,7 +147,7 @@ fn run_all_phases(
     jdv: u32,
     cur: u32,
     layout: &CrsLayout,
-) -> Result<(Vec<Phase>, ScalarRunStats), KernelError> {
+) -> Result<Ran, KernelError> {
     let mut phases = Vec::new();
     let s = vp_cfg.section_size;
     let (rows, cols) = (jda.rows, jda.cols);
@@ -259,9 +235,9 @@ fn run_all_phases(
 
     // The standard CRS pipeline on the regrouped arrays (its phase
     // cycles are relative to the clock at entry).
-    let (crs_phases, scalar_stats) = run_phases(e, vp_cfg, layout, rows, cols, nnz)?;
-    phases.extend(crs_phases);
-    Ok((phases, scalar_stats))
+    let crs = run_phases(e, vp_cfg, layout, rows, cols, nnz)?;
+    phases.extend(crs.phases);
+    Ok(Ran { phases, ..crs })
 }
 
 #[cfg(test)]
@@ -282,13 +258,7 @@ mod tests {
             Coo::new(8, 4),
         ] {
             let jda = arrays(&coo);
-            let (got, report) = transpose_jd_obs(
-                &VpConfig::paper(),
-                &jda,
-                TimingKind::Paper,
-                &Recorder::disabled(),
-            )
-            .unwrap();
+            let (got, report) = transpose_jd(&ExecCtx::paper(), &jda).unwrap();
             assert_eq!(got, Csr::from_coo(&coo).transpose_pissanetsky());
             let sum: u64 = report.phases.iter().map(|p| p.cycles).sum();
             assert_eq!(sum, report.cycles, "phases must partition the run");
@@ -302,24 +272,14 @@ mod tests {
         let mut jda = arrays(&coo);
         jda.jd_ptr[1] = jda.col_idx.len() + 7;
         assert!(matches!(
-            transpose_jd_obs(
-                &VpConfig::paper(),
-                &jda,
-                TimingKind::Paper,
-                &Recorder::disabled()
-            ),
+            transpose_jd(&ExecCtx::paper(), &jda),
             Err(KernelError::Corrupt(_))
         ));
         let mut jda = arrays(&coo);
         jda.col_idx.pop();
         jda.values.pop();
         assert!(matches!(
-            transpose_jd_obs(
-                &VpConfig::paper(),
-                &jda,
-                TimingKind::Paper,
-                &Recorder::disabled()
-            ),
+            transpose_jd(&ExecCtx::paper(), &jda),
             Err(KernelError::Corrupt(_))
         ));
     }
@@ -329,13 +289,7 @@ mod tests {
         let coo = gen::random::uniform(30, 30, 150, 2);
         let mut jda = arrays(&coo);
         jda.col_idx[5] = jda.cols + 40;
-        let err = transpose_jd_obs(
-            &VpConfig::paper(),
-            &jda,
-            TimingKind::Paper,
-            &Recorder::disabled(),
-        )
-        .unwrap_err();
+        let err = transpose_jd(&ExecCtx::paper(), &jda).unwrap_err();
         assert!(
             matches!(err, KernelError::MemFault(_) | KernelError::Corrupt(_)),
             "{err:?}"
@@ -346,9 +300,10 @@ mod tests {
     fn diagonal_counter_is_recorded() {
         let coo = gen::random::power_law(60, 60, 6.0, 1.4, 9);
         let jda = arrays(&coo);
-        let rec = Recorder::enabled_default();
-        transpose_jd_obs(&VpConfig::paper(), &jda, TimingKind::Paper, &rec).unwrap();
-        let data = rec.snapshot();
+        let mut ctx = ExecCtx::paper();
+        ctx.obs = stm_obs::Recorder::enabled_default();
+        transpose_jd(&ctx, &jda).unwrap();
+        let data = ctx.obs.snapshot();
         assert_eq!(
             data.counter("format.jd.diagonals"),
             (jda.jd_ptr.len() - 1) as u64

@@ -5,29 +5,29 @@
 //! arrays so the fault injector can corrupt them like every other
 //! prepared input).
 //!
-//! * [`transpose_sell_obs`] walks the *original* rows in ascending order
+//! * [`transpose_sell`] walks the *original* rows in ascending order
 //!   through the inverse permutation, gathering each row's entries with
 //!   stride-`C` vector loads, and scatters them with exactly the
 //!   Pissanetsky cursor discipline of [`super::crs_transpose`] — so its
 //!   output CSR is **byte-identical** to the `transpose_crs` reference
 //!   (same digest, same oracle).
-//! * [`spmv_sell_obs`] is the format's showcase: per chunk and depth it
+//! * [`spmv_sell`] is the format's showcase: per chunk and depth it
 //!   touches only the *active-lane prefix* (σ being a multiple of `C`
 //!   guarantees the live lanes at any depth form a prefix), accumulating
 //!   per-position partial sums in simulated memory in ascending-column
 //!   order — the same floating-point order as the host `Csr::spmv`, so
 //!   the result vector is bit-identical to the CSR reference.
 
-use crate::exec::KernelError;
+use super::{engine, finish, Ran};
+use crate::exec::{ExecCtx, KernelError};
 use crate::kernels::crs_transpose::{decode_result, CrsLayout};
 use crate::kernels::histogram::{histogram_max_instructions, histogram_program};
 use crate::kernels::scan::scan_add_inplace;
-use crate::obs::{record_oob, record_phases};
 use crate::report::{Phase, TransposeReport};
 use stm_obs::Recorder;
 use stm_sparse::{Csr, Sell, Value};
-use stm_vpsim::scalar::{run_scalar, ScalarRunStats};
-use stm_vpsim::{Allocator, Engine, Memory, TimingKind, VpConfig};
+use stm_vpsim::scalar::run_scalar;
+use stm_vpsim::{Allocator, Engine, Memory, VpConfig};
 
 /// The flattened SELL-C-σ arrays a kernel run consumes — a plain copy of
 /// the [`Sell`] matrix's storage, mutable so the registry's fault
@@ -207,18 +207,15 @@ fn record_sell_counters(rec: &Recorder, sa: &SellArrays) {
     );
 }
 
-/// Simulates the SELL-C-σ transposition of `sa`. Returns the transposed
-/// CSR matrix — byte-identical to the `transpose_crs` reference — and
-/// the cycle report.
-pub fn transpose_sell_obs(
-    vp_cfg: &VpConfig,
+/// Simulates the SELL-C-σ transposition of `sa` on the context's
+/// machine. Returns the transposed CSR matrix — byte-identical to the
+/// `transpose_crs` reference — and the cycle report.
+pub fn transpose_sell(
+    ctx: &ExecCtx,
     sa: &SellArrays,
-    timing: TimingKind,
-    rec: &Recorder,
 ) -> Result<(Csr, TransposeReport), KernelError> {
     sa.check()?;
     let (rows, cols, nnz) = (sa.rows, sa.cols, sa.nnz());
-    let cells = sa.col_idx.len();
     let mut mem = Memory::new();
     let mut alloc = Allocator::new(64);
     let layout = load_sell(&mut mem, &mut alloc, sa);
@@ -229,29 +226,11 @@ pub fn transpose_sell_obs(
     // discarded IAT[cols + 1]); a corrupt column index indexes past it,
     // straight over the watermark.
     let iat = alloc.alloc(cols + 2);
-    mem.guard(alloc.watermark(), vp_cfg.oob);
-    let mut e = Engine::with_timing(vp_cfg.clone(), mem, timing);
-    e.set_recorder(rec.clone());
-    record_sell_counters(rec, sa);
+    let mut e = engine(ctx, mem, alloc.watermark());
+    record_sell_counters(&ctx.obs, sa);
 
-    let phased = run_transpose_phases(&mut e, vp_cfg, sa, &layout, jat, ant, iat);
-    record_oob(rec, e.stats_snapshot().mem_oob_events, e.cycles());
-    let (phases, scalar_stats) = phased?;
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
-    }
-    let report = TransposeReport {
-        wall_ns: None,
-        cycles: e.cycles(),
-        nnz,
-        engine: e.stats_snapshot(),
-        scalar: Some(scalar_stats),
-        stm: None,
-        phases,
-        fu_busy: *e.fu_busy(),
-        stalls: e.stall_breakdown(),
-    };
-    record_phases(rec, &report.phases);
+    let ran = run_transpose_phases(&mut e, &ctx.vp, sa, &layout, jat, ant, iat);
+    let report = finish(ctx, &e, nnz, None, ran)?;
     let crs_layout = CrsLayout {
         ia: layout.row_len, // unused by decode
         ja: layout.col,
@@ -261,7 +240,6 @@ pub fn transpose_sell_obs(
         ant,
     };
     let result = decode_result(e.mem(), &crs_layout, rows, cols, nnz)?;
-    let _ = cells;
     Ok((result, report))
 }
 
@@ -274,7 +252,7 @@ fn run_transpose_phases(
     jat: u32,
     ant: u32,
     iat: u32,
-) -> Result<(Vec<Phase>, ScalarRunStats), KernelError> {
+) -> Result<Ran, KernelError> {
     let mut phases = Vec::new();
     let s = vp_cfg.section_size;
     let (rows, cols) = (sa.rows, sa.cols);
@@ -392,25 +370,26 @@ fn run_transpose_phases(
         name: "scatter",
         cycles: t4 - t3,
     });
-    Ok((phases, scalar_stats))
+    Ok(Ran {
+        phases,
+        scalar: Some(scalar_stats),
+    })
 }
 
 /// Simulates `y = A * x` over the SELL-C-σ arrays. The result is
 /// bit-identical to the host `Csr::spmv` on the same matrix: partial
 /// sums accumulate per row in ascending-column (= ascending-depth)
 /// order, and padding cells are never touched.
-pub fn spmv_sell_obs(
-    vp_cfg: &VpConfig,
+pub fn spmv_sell(
+    ctx: &ExecCtx,
     sa: &SellArrays,
     x: &[Value],
-    timing: TimingKind,
-    rec: &Recorder,
 ) -> Result<(Vec<Value>, TransposeReport), KernelError> {
     sa.check()?;
-    if sa.c > vp_cfg.section_size {
+    if sa.c > ctx.vp.section_size {
         return Err(KernelError::Config(format!(
             "SELL chunk height {} exceeds the section size {}",
-            sa.c, vp_cfg.section_size
+            sa.c, ctx.vp.section_size
         )));
     }
     if x.len() != sa.cols {
@@ -433,29 +412,11 @@ pub fn spmv_sell_obs(
     for (i, &v) in x.iter().enumerate() {
         mem.write_f32(xb + i as u32, v);
     }
-    mem.guard(alloc.watermark(), vp_cfg.oob);
-    let mut e = Engine::with_timing(vp_cfg.clone(), mem, timing);
-    e.set_recorder(rec.clone());
-    record_sell_counters(rec, sa);
+    let mut e = engine(ctx, mem, alloc.watermark());
+    record_sell_counters(&ctx.obs, sa);
 
-    let phased = run_spmv_phases(&mut e, vp_cfg, sa, &layout, acc, yb, xb);
-    record_oob(rec, e.stats_snapshot().mem_oob_events, e.cycles());
-    let phases = phased?;
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
-    }
-    let report = TransposeReport {
-        wall_ns: None,
-        cycles: e.cycles(),
-        nnz,
-        engine: e.stats_snapshot(),
-        scalar: None,
-        stm: None,
-        phases,
-        fu_busy: *e.fu_busy(),
-        stalls: e.stall_breakdown(),
-    };
-    record_phases(rec, &report.phases);
+    let ran = run_spmv_phases(&mut e, &ctx.vp, sa, &layout, acc, yb, xb);
+    let report = finish(ctx, &e, nnz, None, ran)?;
     let mem = e.into_mem();
     let y = (0..rows).map(|i| mem.read_f32(yb + i as u32)).collect();
     Ok((y, report))
@@ -470,7 +431,7 @@ fn run_spmv_phases(
     acc: u32,
     yb: u32,
     xb: u32,
-) -> Result<Vec<Phase>, KernelError> {
+) -> Result<Ran, KernelError> {
     let mut phases = Vec::new();
     let s = vp_cfg.section_size;
     let rows = sa.rows;
@@ -545,7 +506,10 @@ fn run_spmv_phases(
         name: "scatter-y",
         cycles: t2 - t1,
     });
-    Ok(phases)
+    Ok(Ran {
+        phases,
+        scalar: None,
+    })
 }
 
 #[cfg(test)]
@@ -567,13 +531,7 @@ mod tests {
             Coo::new(6, 9),
         ] {
             let sa = arrays(&coo);
-            let (got, report) = transpose_sell_obs(
-                &VpConfig::paper(),
-                &sa,
-                TimingKind::Paper,
-                &Recorder::disabled(),
-            )
-            .unwrap();
+            let (got, report) = transpose_sell(&ExecCtx::paper(), &sa).unwrap();
             assert_eq!(got, Csr::from_coo(&coo).transpose_pissanetsky());
             assert!(report.cycles > 0);
             let sum: u64 = report.phases.iter().map(|p| p.cycles).sum();
@@ -590,14 +548,7 @@ mod tests {
         ] {
             let sa = arrays(&coo);
             let x = crate::exec::spmv_input(coo.cols());
-            let (y, report) = spmv_sell_obs(
-                &VpConfig::paper(),
-                &sa,
-                &x,
-                TimingKind::Paper,
-                &Recorder::disabled(),
-            )
-            .unwrap();
+            let (y, report) = spmv_sell(&ExecCtx::paper(), &sa, &x).unwrap();
             let expect = Csr::from_coo(&coo).spmv(&x).unwrap();
             assert_eq!(y.len(), expect.len());
             for (i, (a, b)) in y.iter().zip(&expect).enumerate() {
@@ -621,18 +572,8 @@ mod tests {
         }
         let uniform = gen::random::uniform(256, 256, skew.nnz(), 3);
         let x = crate::exec::spmv_input(256);
-        let cyc = |coo: &Coo| {
-            spmv_sell_obs(
-                &VpConfig::paper(),
-                &arrays(coo),
-                &x,
-                TimingKind::Paper,
-                &Recorder::disabled(),
-            )
-            .unwrap()
-            .1
-            .cycles
-        };
+        let ctx = ExecCtx::paper();
+        let cyc = |coo: &Coo| spmv_sell(&ctx, &arrays(coo), &x).unwrap().1.cycles;
         let (a, b) = (cyc(&skew), cyc(&uniform));
         // Equal nnz. The dense row still costs its 256 serial depths of
         // loop overhead, but the padded *lanes* (63 dead lanes × 256
@@ -648,36 +589,20 @@ mod tests {
         let mut sa = arrays(&coo);
         sa.chunk_ptr[1] += 3;
         assert!(matches!(
-            transpose_sell_obs(
-                &VpConfig::paper(),
-                &sa,
-                TimingKind::Paper,
-                &Recorder::disabled()
-            ),
+            transpose_sell(&ExecCtx::paper(), &sa),
             Err(KernelError::Corrupt(_))
         ));
         let mut sa = arrays(&coo);
         sa.row_len[0] = sa.col_idx.len() + 1;
         assert!(matches!(
-            spmv_sell_obs(
-                &VpConfig::paper(),
-                &sa,
-                &x,
-                TimingKind::Paper,
-                &Recorder::disabled()
-            ),
+            spmv_sell(&ExecCtx::paper(), &sa, &x),
             Err(KernelError::Corrupt(_))
         ));
         let mut sa = arrays(&coo);
         sa.col_idx.pop();
         sa.values.pop();
         assert!(matches!(
-            transpose_sell_obs(
-                &VpConfig::paper(),
-                &sa,
-                TimingKind::Paper,
-                &Recorder::disabled()
-            ),
+            transpose_sell(&ExecCtx::paper(), &sa),
             Err(KernelError::Corrupt(_))
         ));
     }
@@ -686,9 +611,10 @@ mod tests {
     fn format_counters_are_recorded() {
         let coo = gen::random::uniform(80, 80, 400, 11);
         let sa = arrays(&coo);
-        let rec = Recorder::enabled_default();
-        transpose_sell_obs(&VpConfig::paper(), &sa, TimingKind::Paper, &rec).unwrap();
-        let data = rec.snapshot();
+        let mut ctx = ExecCtx::paper();
+        ctx.obs = Recorder::enabled_default();
+        transpose_sell(&ctx, &sa).unwrap();
+        let data = ctx.obs.snapshot();
         assert_eq!(data.counter("format.sell.chunks"), 2);
         assert_eq!(data.counter("format.sell.stored"), sa.nnz() as u64);
         assert_eq!(

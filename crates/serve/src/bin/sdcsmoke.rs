@@ -25,27 +25,15 @@
 //!
 //! Exit codes: 0 = contract holds; 1 = violation; 2 = setup error.
 
+use stm_bench::flag_value;
 use stm_hism::FaultClass;
 use stm_serve::client::Client;
 use stm_serve::load::workload_matrix;
 use stm_serve::protocol::{FaultRequest, ResponseBody, Status};
 use stm_serve::server::{ServeConfig, Server};
 
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
+    flag_value(std::env::args(), flag, None).map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("sdcsmoke: bad value {v:?} for {flag}");
             std::process::exit(2);

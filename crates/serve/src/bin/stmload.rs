@@ -16,6 +16,7 @@
 //! 1 = a digest mismatch, failure, or queue-bound violation; 2 = usage
 //! or connection error.
 
+use stm_bench::flag_value;
 use stm_serve::load::{run_load, LoadConfig};
 use stm_serve::protocol::Status;
 
@@ -49,21 +50,8 @@ fn usage() -> String {
     out
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
+    flag_value(std::env::args(), flag, None).map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("stmload: bad value {v:?} for {flag}");
             std::process::exit(2);
@@ -76,7 +64,7 @@ fn main() {
         print!("{}", usage());
         return;
     }
-    let Some(addr) = arg_value("--addr") else {
+    let Some(addr) = flag_value(std::env::args(), "--addr", None) else {
         eprint!("stmload: --addr is required\n\n{}", usage());
         std::process::exit(2);
     };
@@ -122,7 +110,7 @@ fn main() {
     // Server-side view of the same tail, scraped from the metrics
     // endpoint: client p99 includes queueing + transport, server p99
     // starts at dequeue — the gap is where the latency lives.
-    let scraped = arg_value("--metrics-addr").map(|maddr| {
+    let scraped = flag_value(std::env::args(), "--metrics-addr", None).map(|maddr| {
         stm_serve::scrape::fetch(&maddr, cfg.timeout_ms)
             .map(|text| stm_serve::scrape::parse(&text))
             .unwrap_or_else(|e| {
@@ -206,7 +194,7 @@ fn main() {
         }
     }
 
-    if let Some(csv) = arg_value("--csv") {
+    if let Some(csv) = flag_value(std::env::args(), "--csv", None) {
         let mut text = String::from("bucket_upper_us,count\n");
         for (upper, count) in report.latency_us.nonzero_buckets() {
             text.push_str(&format!("{upper},{count}\n"));

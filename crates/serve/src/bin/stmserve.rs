@@ -6,6 +6,7 @@
 //!
 //! Exit codes: 0 = clean drain; 2 = configuration/bind/log error.
 
+use stm_bench::flag_value;
 use stm_bench::resilient::{BreakerConfig, RetryPolicy, VerifyMode};
 use stm_serve::server::{ServeConfig, Server};
 
@@ -71,21 +72,8 @@ fn usage() -> String {
     out
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
+    flag_value(std::env::args(), flag, None).map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("stmserve: bad value {v:?} for {flag}");
             std::process::exit(2);
@@ -99,7 +87,8 @@ fn main() {
         return;
     }
     let mut cfg = ServeConfig {
-        addr: arg_value("--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
+        addr: flag_value(std::env::args(), "--addr", None)
+            .unwrap_or_else(|| "127.0.0.1:0".to_string()),
         ..ServeConfig::default()
     };
     if let Some(n) = parsed("--queue-depth") {
@@ -131,17 +120,17 @@ fn main() {
     if let Some(n) = parsed("--io-timeout-ms") {
         cfg.io_timeout_ms = n;
     }
-    if let Some(m) = arg_value("--verify-mode") {
+    if let Some(m) = flag_value(std::env::args(), "--verify-mode", None) {
         cfg.verify_mode = VerifyMode::from_name(&m).unwrap_or_else(|| {
             eprintln!("stmserve: unknown --verify-mode {m:?} (off|checksum|dual|vote)");
             std::process::exit(2);
         });
     }
-    cfg.results_log = arg_value("--results-log").map(Into::into);
-    cfg.trace = arg_value("--trace").map(Into::into);
+    cfg.results_log = flag_value(std::env::args(), "--results-log", None).map(Into::into);
+    cfg.trace = flag_value(std::env::args(), "--trace", None).map(Into::into);
     cfg.backend = stm_bench::backend_from_env();
-    cfg.metrics_addr = arg_value("--metrics-addr");
-    cfg.flight_dir = arg_value("--flight-dir").map(Into::into);
+    cfg.metrics_addr = flag_value(std::env::args(), "--metrics-addr", None);
+    cfg.flight_dir = flag_value(std::env::args(), "--flight-dir", None).map(Into::into);
     if let Some(ms) = parsed("--flight-window") {
         cfg.flight_window_ms = ms;
     }

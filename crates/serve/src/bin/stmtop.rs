@@ -11,6 +11,7 @@
 //! usage error or the first scrape failed.
 
 use std::io::{IsTerminal, Write};
+use stm_bench::flag_value;
 use stm_serve::scrape::{self, Sample};
 
 const FLAGS: &[(&str, &str)] = &[
@@ -44,21 +45,8 @@ fn usage() -> String {
     out
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
+    flag_value(std::env::args(), flag, None).map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("stmtop: bad value {v:?} for {flag}");
             std::process::exit(2);
@@ -126,7 +114,7 @@ fn main() {
         print!("{}", usage());
         return;
     }
-    let Some(addr) = arg_value("--addr") else {
+    let Some(addr) = flag_value(std::env::args(), "--addr", None) else {
         eprint!("stmtop: --addr is required\n\n{}", usage());
         std::process::exit(2);
     };

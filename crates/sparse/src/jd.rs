@@ -31,8 +31,7 @@ impl Jd {
     /// [`crate::format::length_sorted_perm`] helper (SELL-C-σ is the
     /// same sort with `window = σ`).
     pub fn from_coo(coo: &Coo) -> Self {
-        let mut canon = coo.clone();
-        canon.canonicalize();
+        let canon = coo.canonical();
         let (rows, cols) = canon.shape();
         let row_entries = crate::format::row_buckets(&canon);
         let lengths = crate::format::row_lengths(&canon);

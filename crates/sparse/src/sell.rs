@@ -99,8 +99,7 @@ impl Sell {
     /// Builds SELL-C-σ with explicit parameters (canonicalizing first).
     pub fn from_coo_with(coo: &Coo, config: SellConfig) -> Result<Self, FormatError> {
         config.validate()?;
-        let mut canon = coo.clone();
-        canon.canonicalize();
+        let canon = coo.canonical();
         let (rows, cols) = canon.shape();
         let lengths = row_lengths(&canon);
         let perm = length_sorted_perm(&lengths, config.sigma);

@@ -13,8 +13,7 @@
 use hism_stm::hism::{build, HismImage};
 use hism_stm::sparse::{gen, mm, Coo, Csr, MatrixMetrics};
 use hism_stm::stm::kernels::{transpose_crs, transpose_hism};
-use hism_stm::stm::StmConfig;
-use hism_stm::vpsim::VpConfig;
+use hism_stm::stm::ExecCtx;
 use std::path::PathBuf;
 
 fn load_or_demo() -> (Coo, PathBuf) {
@@ -48,15 +47,14 @@ fn main() {
         m.avg_nnz_per_row
     );
 
-    let vp = VpConfig::paper();
+    let ctx = ExecCtx::paper();
     let h = build::from_coo(&coo, 64).expect("matrix fits HiSM (dims < 64^q)");
     let image = HismImage::encode(&h);
-    let (out, hism_report) =
-        transpose_hism(&vp, StmConfig::default(), &image).expect("valid image");
+    let (out, hism_report) = transpose_hism(&ctx, &image).expect("valid image");
     let transposed = build::to_coo(&out.decode().expect("valid output image"));
     assert_eq!(transposed, coo.transpose_canonical());
 
-    let (_, crs_report) = transpose_crs(&vp, &Csr::from_coo(&coo)).expect("valid CSR");
+    let (_, crs_report) = transpose_crs(&ctx, &Csr::from_coo(&coo)).expect("valid CSR");
     println!(
         "HiSM+STM: {} cycles ({:.2}/nnz)   CRS: {} cycles ({:.2}/nnz)   speedup {:.1}x",
         hism_report.cycles,

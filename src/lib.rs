@@ -19,8 +19,7 @@
 //! use hism_stm::hism::{build, HismImage};
 //! use hism_stm::sparse::{Coo, Csr};
 //! use hism_stm::stm::kernels::{transpose_crs, transpose_hism};
-//! use hism_stm::stm::StmConfig;
-//! use hism_stm::vpsim::VpConfig;
+//! use hism_stm::stm::ExecCtx;
 //!
 //! // A small sparse matrix.
 //! let coo = Coo::from_triplets(100, 100, vec![
@@ -30,14 +29,13 @@
 //! // HiSM + STM on the paper's machine (s = 64, B = L = p = 4). The
 //! // kernels treat their input as untrusted, so they return a Result
 //! // with a typed error instead of panicking on corrupt images.
+//! let ctx = ExecCtx::paper();
 //! let h = build::from_coo(&coo, 64).unwrap();
-//! let (out, hism_report) = transpose_hism(
-//!     &VpConfig::paper(), StmConfig::default(), &HismImage::encode(&h)).unwrap();
+//! let (out, hism_report) = transpose_hism(&ctx, &HismImage::encode(&h)).unwrap();
 //! assert_eq!(build::to_coo(&out.decode().unwrap()), coo.transpose_canonical());
 //!
 //! // The vectorized CRS baseline on the same machine.
-//! let (t, crs_report) =
-//!     transpose_crs(&VpConfig::paper(), &Csr::from_coo(&coo)).unwrap();
+//! let (t, crs_report) = transpose_crs(&ctx, &Csr::from_coo(&coo)).unwrap();
 //! assert_eq!(t, Csr::from_coo(&coo).transpose_pissanetsky());
 //!
 //! // The paper's claim: the STM path is faster.
@@ -46,7 +44,7 @@
 //! // The same kernels are also selectable by name through the registry
 //! // (this is how the benchmark harness drives them).
 //! use hism_stm::stm::kernels::registry;
-//! let mut ctx = registry::ExecCtx::paper();
+//! let mut ctx = ctx.clone();
 //! let mut kernel = registry::create("transpose_hism").unwrap();
 //! kernel.prepare(&coo, &ctx).unwrap();
 //! let report = kernel.run(&mut ctx).unwrap();

@@ -42,17 +42,23 @@ fn digest(kernel: &str, coo: &stm_sparse::Coo, backend: Backend) -> Result<u64, 
         .map_err(|f| f.to_string())
 }
 
+/// The registered kernels with a host-native implementation.
+fn host_kernels() -> impl Iterator<Item = &'static str> {
+    registry::KERNELS.iter().filter(|k| k.host).map(|k| k.name)
+}
+
 #[test]
 fn every_kernel_digests_identically_on_all_three_legs_over_the_quick_catalogue() {
     let entries = entries();
     assert!(entries.len() >= 6, "quick catalogue present");
     for entry in &entries {
-        for &kernel in &registry::NAMES {
+        for k in registry::KERNELS {
+            let kernel = k.name;
             let sim = digest(kernel, &entry.coo, Backend::Sim)
                 .unwrap_or_else(|e| panic!("{}/{kernel} sim leg: {e}", entry.name));
             // Host-capable kernels get real second and third legs; the
             // rest must be backend-transparent (auto == sim).
-            let legs: &[Backend] = if registry::host_capable(kernel) {
+            let legs: &[Backend] = if k.host {
                 &[Backend::Scalar, Backend::Simd]
             } else {
                 &[Backend::Auto]
@@ -78,7 +84,7 @@ fn three_leg_equality_holds_on_arbitrary_matrices() {
     for case in 0..24 {
         let mut r = case_rng(0xB4C8, case);
         let coo = arb_coo(&mut r, 60, 150);
-        for &kernel in &registry::HOST_CAPABLE {
+        for kernel in host_kernels() {
             common::check_coo_property("three_leg_equality", 0xB4C8, case, &coo, |m| {
                 let sim = digest(kernel, m, Backend::Sim).unwrap();
                 digest(kernel, m, Backend::Scalar).unwrap() == sim
@@ -151,7 +157,7 @@ fn non_dispatch_counters(trace: &TraceData) -> Vec<(String, u64)> {
 #[test]
 fn forced_scalar_and_auto_dispatch_agree_on_digest_and_trace_structure() {
     let coo = stm_sparse::gen::random::uniform(96, 96, 1500, 0xD15);
-    for &kernel in &registry::HOST_CAPABLE {
+    for kernel in host_kernels() {
         let run = |backend: Backend| {
             let mut ctx = ctx_with(backend);
             ctx.obs = Recorder::enabled_default();

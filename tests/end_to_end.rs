@@ -5,8 +5,7 @@
 use hism_stm::hism::{build, transpose as hism_sw, HismImage};
 use hism_stm::sparse::{gen, Coo, Csc, Csr, Dense};
 use hism_stm::stm::kernels::{transpose_crs, transpose_hism};
-use hism_stm::stm::StmConfig;
-use hism_stm::vpsim::VpConfig;
+use hism_stm::stm::{ExecCtx, StmConfig};
 
 fn family_matrices() -> Vec<(&'static str, Coo)> {
     vec![
@@ -37,15 +36,14 @@ fn family_matrices() -> Vec<(&'static str, Coo)> {
 /// The central equivalence: six independent transposition paths agree.
 #[test]
 fn all_transpose_paths_agree_across_families() {
-    let vp = VpConfig::paper();
-    let stm = StmConfig::default();
+    let ctx = ExecCtx::paper();
     for (name, coo) in family_matrices() {
         let oracle = coo.transpose_canonical();
 
         // 1. Simulated HiSM + STM.
-        let h = build::from_coo(&coo, stm.s).unwrap();
+        let h = build::from_coo(&coo, ctx.stm.s).unwrap();
         let image = HismImage::encode(&h);
-        let (out, _) = transpose_hism(&vp, stm, &image).unwrap();
+        let (out, _) = transpose_hism(&ctx, &image).unwrap();
         assert_eq!(
             build::to_coo(&out.decode().unwrap()),
             oracle,
@@ -54,7 +52,7 @@ fn all_transpose_paths_agree_across_families() {
 
         // 2. Simulated CRS baseline.
         let csr = Csr::from_coo(&coo);
-        let (t_csr, _) = transpose_crs(&vp, &csr).unwrap();
+        let (t_csr, _) = transpose_crs(&ctx, &csr).unwrap();
         let mut from_crs = t_csr.to_coo();
         from_crs.canonicalize();
         assert_eq!(from_crs, oracle, "sim CRS vs oracle: {name}");
@@ -92,18 +90,17 @@ fn all_transpose_paths_agree_across_families() {
 
 #[test]
 fn simulated_double_transpose_is_identity() {
-    let vp = VpConfig::paper();
-    let stm = StmConfig::default();
+    let ctx = ExecCtx::paper();
     for (name, coo) in family_matrices() {
-        let h = build::from_coo(&coo, stm.s).unwrap();
+        let h = build::from_coo(&coo, ctx.stm.s).unwrap();
         let image = HismImage::encode(&h);
-        let (once, _) = transpose_hism(&vp, stm, &image).unwrap();
-        let (twice, _) = transpose_hism(&vp, stm, &once).unwrap();
+        let (once, _) = transpose_hism(&ctx, &image).unwrap();
+        let (twice, _) = transpose_hism(&ctx, &once).unwrap();
         assert_eq!(twice.words, image.words, "double transpose image: {name}");
 
         let csr = Csr::from_coo(&coo);
-        let (t, _) = transpose_crs(&vp, &csr).unwrap();
-        let (tt, _) = transpose_crs(&vp, &t).unwrap();
+        let (t, _) = transpose_crs(&ctx, &csr).unwrap();
+        let (tt, _) = transpose_crs(&ctx, &t).unwrap();
         assert_eq!(tt, csr, "double transpose CRS: {name}");
     }
 }
@@ -111,15 +108,14 @@ fn simulated_double_transpose_is_identity() {
 #[test]
 fn hism_wins_on_every_family_matrix() {
     // The paper: "for all matrices HiSM consistently outperforms CRS."
-    let vp = VpConfig::paper();
-    let stm = StmConfig::default();
+    let ctx = ExecCtx::paper();
     for (name, coo) in family_matrices() {
         if coo.nnz() == 0 {
             continue;
         }
-        let h = build::from_coo(&coo, stm.s).unwrap();
-        let (_, hr) = transpose_hism(&vp, stm, &HismImage::encode(&h)).unwrap();
-        let (_, cr) = transpose_crs(&vp, &Csr::from_coo(&coo)).unwrap();
+        let h = build::from_coo(&coo, ctx.stm.s).unwrap();
+        let (_, hr) = transpose_hism(&ctx, &HismImage::encode(&h)).unwrap();
+        let (_, cr) = transpose_crs(&ctx, &Csr::from_coo(&coo)).unwrap();
         assert!(
             cr.cycles > hr.cycles,
             "{name}: CRS {} cycles vs HiSM {} cycles",
@@ -132,23 +128,23 @@ fn hism_wins_on_every_family_matrix() {
 #[test]
 fn in_place_property_image_length_is_preserved() {
     // Section IV-A: HiSM transposition needs no extra memory.
-    let vp = VpConfig::paper();
+    let ctx = ExecCtx::paper();
     for (name, coo) in family_matrices() {
         let h = build::from_coo(&coo, 64).unwrap();
         let image = HismImage::encode(&h);
-        let (out, _) = transpose_hism(&vp, StmConfig::default(), &image).unwrap();
+        let (out, _) = transpose_hism(&ctx, &image).unwrap();
         assert_eq!(out.words.len(), image.words.len(), "image grew: {name}");
     }
 }
 
 #[test]
 fn rectangular_shapes_swap() {
-    let vp = VpConfig::paper();
+    let ctx = ExecCtx::paper();
     let coo = gen::random::uniform(50, 300, 700, 8);
     let h = build::from_coo(&coo, 64).unwrap();
-    let (out, _) = transpose_hism(&vp, StmConfig::default(), &HismImage::encode(&h)).unwrap();
+    let (out, _) = transpose_hism(&ctx, &HismImage::encode(&h)).unwrap();
     assert_eq!(out.decode().unwrap().shape(), (300, 50));
-    let (t, _) = transpose_crs(&vp, &Csr::from_coo(&coo)).unwrap();
+    let (t, _) = transpose_crs(&ctx, &Csr::from_coo(&coo)).unwrap();
     assert_eq!(t.shape(), (300, 50));
 }
 
@@ -156,7 +152,6 @@ fn rectangular_shapes_swap() {
 fn values_survive_bit_exactly() {
     // Transposition moves values without touching them: bit patterns
     // (including negative zero and subnormals) must survive.
-    let vp = VpConfig::paper();
     // Note: ±0.0 values are excluded — canonicalization prunes explicit
     // zeros from the format, by design.
     let tricky = vec![
@@ -168,10 +163,10 @@ fn values_survive_bit_exactly() {
     ];
     let coo = Coo::from_triplets(8, 8, tricky.clone()).unwrap();
     let h = build::from_coo(&coo, 8).unwrap();
-    let mut vp8 = vp;
-    vp8.section_size = 8;
-    let (out, _) =
-        transpose_hism(&vp8, StmConfig { s: 8, b: 4, l: 4 }, &HismImage::encode(&h)).unwrap();
+    let mut ctx8 = ExecCtx::paper();
+    ctx8.vp.section_size = 8;
+    ctx8.stm = StmConfig { s: 8, b: 4, l: 4 };
+    let (out, _) = transpose_hism(&ctx8, &HismImage::encode(&h)).unwrap();
     let decoded = out.decode().unwrap();
     for (r, c, v) in tricky {
         let got = decoded.get(c, r).expect("entry present");

@@ -26,7 +26,7 @@ fn every_fault_class_on_every_kernel_fails_typed_then_recovers() {
     let coo = test_coo();
     let ctx = ExecCtx::paper();
     let mut injected = 0usize;
-    for &name in registry::names() {
+    for name in registry::names() {
         let baseline = baseline_digest(name, &coo, &ctx);
         for class in FaultClass::ALL {
             let mut kernel = registry::create(name).unwrap();

@@ -7,6 +7,7 @@ use hism_stm::hism::{build, HismImage, StorageStats};
 use hism_stm::sparse::{gen, Coo, Csr};
 use hism_stm::stm::kernels::{transpose_crs, transpose_hism};
 use hism_stm::stm::unit::{block_timing, buffer_utilization, StmConfig};
+use hism_stm::stm::ExecCtx;
 use hism_stm::vpsim::{Engine, Memory, VReg, VpConfig};
 use stm_bench::fig10::bu_sweep;
 use stm_bench::{run_set, RunConfig};
@@ -54,7 +55,7 @@ fn claim_blockwise_transposition_is_global_transposition() {
     let coo = gen::rmat::rmat(9, 3000, gen::rmat::RmatProbs::default(), 11);
     let h = build::from_coo(&coo, 64).unwrap();
     let img = HismImage::encode(&h);
-    let (out, _) = transpose_hism(&VpConfig::paper(), StmConfig::default(), &img).unwrap();
+    let (out, _) = transpose_hism(&ExecCtx::paper(), &img).unwrap();
     assert_eq!(
         build::to_coo(&out.decode().unwrap()),
         coo.transpose_canonical()
@@ -147,8 +148,9 @@ fn claim_figure2_structure() {
 /// total on long-row matrices but dominant on scattered ones.
 #[test]
 fn claim_histogram_phase_share() {
+    let ctx = ExecCtx::paper();
     let run = |coo: Coo| {
-        let (_, r) = transpose_crs(&VpConfig::paper(), &Csr::from_coo(&coo)).unwrap();
+        let (_, r) = transpose_crs(&ctx, &Csr::from_coo(&coo)).unwrap();
         let hist = r
             .phases
             .iter()
@@ -188,15 +190,11 @@ fn claim_hism_always_wins() {
 /// unambiguous (see EXPERIMENTS.md for the high-end discussion).
 #[test]
 fn claim_speedup_grows_with_locality_at_the_low_end() {
+    let ctx = ExecCtx::paper();
     let mk = |coo: Coo| {
         let h = build::from_coo(&coo, 64).unwrap();
-        let (_, hr) = transpose_hism(
-            &VpConfig::paper(),
-            StmConfig::default(),
-            &HismImage::encode(&h),
-        )
-        .unwrap();
-        let (_, cr) = transpose_crs(&VpConfig::paper(), &Csr::from_coo(&coo)).unwrap();
+        let (_, hr) = transpose_hism(&ctx, &HismImage::encode(&h)).unwrap();
+        let (_, cr) = transpose_crs(&ctx, &Csr::from_coo(&coo)).unwrap();
         cr.cycles as f64 / hr.cycles as f64
     };
     // Uniform matrices at a fixed ANZ of ~2 (so the CRS side is held
@@ -213,8 +211,9 @@ fn claim_speedup_grows_with_locality_at_the_low_end() {
 /// the performance of the CRS approach also increases."
 #[test]
 fn claim_crs_improves_with_anz() {
+    let ctx = ExecCtx::paper();
     let run = |coo: Coo| {
-        let (_, r) = transpose_crs(&VpConfig::paper(), &Csr::from_coo(&coo)).unwrap();
+        let (_, r) = transpose_crs(&ctx, &Csr::from_coo(&coo)).unwrap();
         r.cycles_per_nnz()
     };
     let anz1 = run(gen::structured::diagonal(1500));
@@ -255,12 +254,13 @@ fn claim_crs_needs_fresh_output_arrays() {
     // inputs; HiSM's memory is exactly the image.
     let coo = gen::random::uniform(200, 200, 1000, 5);
     let csr = Csr::from_coo(&coo);
-    let (_, report) = transpose_crs(&VpConfig::paper(), &csr).unwrap();
+    let ctx = ExecCtx::paper();
+    let (_, report) = transpose_crs(&ctx, &csr).unwrap();
     // Scatter stores went to arrays disjoint from the inputs — observable
     // as indexed stores in the engine stats.
     assert!(report.engine.mem_indexed_ops > 0);
     let h = build::from_coo(&coo, 64).unwrap();
     let img = HismImage::encode(&h);
-    let (out, _) = transpose_hism(&VpConfig::paper(), StmConfig::default(), &img).unwrap();
+    let (out, _) = transpose_hism(&ctx, &img).unwrap();
     assert_eq!(out.words.len(), img.words.len());
 }

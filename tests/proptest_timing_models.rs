@@ -26,7 +26,7 @@ fn functional_output_is_identical_under_every_timing_model() {
     for case in 0..CASES {
         let mut r = case_rng(0xB1, case);
         let coo = arb_coo(&mut r, 120, 500);
-        for &name in registry::names() {
+        for name in registry::names() {
             let run = |timing: TimingKind| {
                 let ctx = registry::ExecCtx::with_timing(timing);
                 let mut k = registry::create(name).unwrap();

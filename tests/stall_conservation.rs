@@ -26,7 +26,7 @@ fn traced_ctx() -> ExecCtx {
 #[test]
 fn every_kernel_conserves_cycles_across_all_units() {
     let coo = test_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         let report = registry::run_verified(name, &coo, &ExecCtx::paper())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let stalls = &report.report.stalls;
@@ -50,7 +50,7 @@ fn stall_occupancy_agrees_with_fu_busy() {
     // The fine-grained breakdown's occupancy (busy + chain wait) must
     // reproduce the engine's coarse per-FU busy counters exactly.
     let coo = test_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         let report = registry::run_verified(name, &coo, &ExecCtx::paper()).unwrap();
         let stalls = &report.report.stalls;
         let fu = &report.report.fu_busy;
@@ -72,7 +72,7 @@ fn stall_occupancy_agrees_with_fu_busy() {
 #[test]
 fn enabling_the_recorder_does_not_change_the_breakdown() {
     let coo = test_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         let plain = registry::run_verified(name, &coo, &ExecCtx::paper()).unwrap();
         let ctx = traced_ctx();
         let traced = registry::run_verified(name, &coo, &ctx).unwrap();
@@ -108,7 +108,7 @@ fn enabling_the_recorder_does_not_change_the_breakdown() {
 #[test]
 fn no_observer_effect_under_injected_faults() {
     let coo = test_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         for class in FaultClass::ALL {
             let outcome = |rec: Recorder| -> Option<(u64, StallBreakdown)> {
                 let mut kernel = registry::create(name).unwrap();
@@ -140,7 +140,7 @@ fn no_observer_effect_under_injected_faults() {
 #[test]
 fn profiler_reconstructs_the_breakdown_from_the_trace() {
     let coo = test_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         let ctx = traced_ctx();
         let report = registry::run_verified(name, &coo, &ctx).unwrap();
         let data = ctx.obs.snapshot();

@@ -43,7 +43,7 @@ fn traced_run(name: &str, coo: &Coo) -> hism_stm::obs::TraceData {
 #[test]
 fn exporters_are_byte_deterministic_across_runs() {
     let coo = fixed_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         let a = traced_run(name, &coo);
         let b = traced_run(name, &coo);
         assert_eq!(a.to_jsonl(), b.to_jsonl(), "{name}: JSONL drifted");

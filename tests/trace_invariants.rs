@@ -50,7 +50,7 @@ fn traced_ctx() -> ExecCtx {
 #[test]
 fn every_kernel_trace_is_structurally_valid() {
     let coo = test_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         let ctx = traced_ctx();
         registry::run_verified(name, &coo, &ctx).unwrap_or_else(|e| panic!("{name}: {e}"));
         let data = ctx.obs.snapshot();
@@ -79,7 +79,7 @@ fn every_kernel_trace_is_structurally_valid() {
 #[test]
 fn stage_span_cycles_sum_to_the_reported_total() {
     let coo = test_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         let ctx = traced_ctx();
         let report = registry::run_verified(name, &coo, &ctx).unwrap();
         let data = ctx.obs.snapshot();
@@ -120,7 +120,7 @@ fn stage_span_cycles_sum_to_the_reported_total() {
 fn oob_counter_matches_fault_lane_events_under_injected_faults() {
     let coo = test_matrix();
     let mut any_oob = false;
-    for &name in registry::names() {
+    for name in registry::names() {
         for class in FaultClass::ALL {
             let mut kernel = registry::create(name).unwrap();
             let mut ctx = traced_ctx();
@@ -158,7 +158,7 @@ fn oob_counter_matches_fault_lane_events_under_injected_faults() {
 #[test]
 fn disabled_recorder_records_nothing_and_changes_nothing() {
     let coo = test_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         let plain = ExecCtx::paper();
         assert!(!plain.obs.is_enabled());
         let base = registry::run_verified(name, &coo, &plain).unwrap();
@@ -205,7 +205,7 @@ fn stm_kernel_traces_carry_block_sessions_and_utilization_samples() {
 #[test]
 fn exported_jsonl_of_every_kernel_passes_the_checker() {
     let coo = test_matrix();
-    for &name in registry::names() {
+    for name in registry::names() {
         let ctx = traced_ctx();
         registry::run_verified(name, &coo, &ctx).unwrap();
         let data = ctx.obs.snapshot();
